@@ -2,7 +2,8 @@
 # Run every benchmark binary and collect the machine-readable outputs.
 #
 # Usage: bench/run_all.sh [--jobs N] [--seed S] [--trace BENCH]
-#        [--timeseries BENCH] [--openloop[=SPEC]] [build-dir] [output-dir]
+#        [--timeseries BENCH] [--openloop[=SPEC]] [--overload[=SPEC]]
+#        [build-dir] [output-dir]
 #
 # Each binary prints its usual text tables and writes BENCH_<name>.json
 # (schema dsm-bench-v1; simcore_microbench writes google-benchmark's
@@ -17,14 +18,16 @@
 # on (DSM_TIMESERIES=1), writing TIMESERIES_<name>.json plus a
 # self-contained TIMESERIES_<name>.html report (open it in a browser).
 # --seed S exports DSM_SEED=S so every sweep's simulated machines use
-# seed S (recorded in each report's meta.seed); fault_sweep instead
-# uses S as the base of its per-point seed range.
+# seed S (recorded in each report's meta.seed); the fault campaign
+# instead uses S as the base of its per-point seed range.
+# Campaigns are listed by report name: <profile>_sweep runs
+# `campaign <profile>`, writing BENCH_<profile>_sweep.json.
 # --openloop appends the open-loop serving campaign (openloop_sweep) to
 # the bench list; --openloop=SPEC additionally exports DSM_OPENLOOP=SPEC
-# so the sweep replaces its built-in load axis with the given level.
+# so the campaign replaces its built-in load axis with the given level.
 # --overload appends the overload/graceful-degradation campaign
 # (overload_sweep); --overload=SPEC additionally exports DSM_SERVE=SPEC
-# so the sweep replaces its mechanism axis with the given mode.
+# so the campaign replaces its mechanism axis with the given mode.
 set -eu
 
 jobs=
@@ -137,7 +140,16 @@ overload_sweep
 fi
 
 for b in $benches; do
-    bin="$build_dir/bench/$b"
+    case $b in
+    *_sweep)
+        bin="$build_dir/bench/campaign"
+        set -- "${b%_sweep}"
+        ;;
+    *)
+        bin="$build_dir/bench/$b"
+        set --
+        ;;
+    esac
     if [ ! -x "$bin" ]; then
         echo "skipping $b (not built)" >&2
         continue
@@ -156,9 +168,9 @@ for b in $benches; do
         unset DSM_TIMESERIES || true
     fi
     if [ -n "$jobs" ]; then
-        "$bin" --jobs "$jobs" | tee "$DSM_BENCH_DIR/$b.txt"
+        "$bin" "$@" --jobs "$jobs" | tee "$DSM_BENCH_DIR/$b.txt"
     else
-        "$bin" | tee "$DSM_BENCH_DIR/$b.txt"
+        "$bin" "$@" | tee "$DSM_BENCH_DIR/$b.txt"
     fi
     echo
 done

@@ -141,6 +141,13 @@ Experiment::meta(const std::string &k, int v)
 }
 
 Experiment &
+Experiment::meta(const std::string &k, std::uint64_t v)
+{
+    _report.meta(k, v);
+    return *this;
+}
+
+Experiment &
 Experiment::rowKey(std::string k)
 {
     _row_key = std::move(k);

@@ -95,6 +95,7 @@ class Experiment
     Experiment &meta(const std::string &k, const std::string &v);
     Experiment &meta(const std::string &k, double v);
     Experiment &meta(const std::string &k, int v);
+    Experiment &meta(const std::string &k, std::uint64_t v);
 
     /** Key naming the row label in report rows (default "impl"). */
     Experiment &rowKey(std::string k);

@@ -143,6 +143,28 @@ parseSeedFlag(int argc, char **argv)
     return 0;
 }
 
+int
+parseSeedsFlag(int argc, char **argv, int fallback)
+{
+    for (int i = 1; i < argc; ++i) {
+        const char *a = argv[i];
+        const char *v = nullptr;
+        if (std::strncmp(a, "--seeds=", 8) == 0)
+            v = a + 8;
+        else if (std::strcmp(a, "--seeds") == 0 && i + 1 < argc)
+            v = argv[i + 1];
+        if (v != nullptr) {
+            char *end = nullptr;
+            long n = std::strtol(v, &end, 10);
+            if (end == v || *end != '\0' || n < 1)
+                dsm_fatal("--seeds expects a positive integer, got "
+                          "'%s'", v);
+            return static_cast<int>(n);
+        }
+    }
+    return fallback;
+}
+
 std::uint64_t
 seedFromEnv()
 {

@@ -131,6 +131,14 @@ int parseJobsFlag(int argc, char **argv);
  */
 std::uint64_t parseSeedFlag(int argc, char **argv);
 
+/**
+ * Extract a "--seeds K" / "--seeds=K" flag (the number of consecutive
+ * machine seeds a campaign runs per point) from a bench binary's
+ * command line. @return the value, or @p fallback if no flag is
+ * present. dsm_fatal on a malformed or non-positive value.
+ */
+int parseSeedsFlag(int argc, char **argv, int fallback);
+
 /** $DSM_SEED as an integer, or 0 when unset. dsm_fatal if malformed. */
 std::uint64_t seedFromEnv();
 

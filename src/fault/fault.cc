@@ -246,72 +246,56 @@ FaultConfig::parse(const std::string &spec)
 
     FaultConfig out;
     out.enabled = true;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            return csprintf("fault spec item '%s' is not key=value",
-                            item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
-        char *end = nullptr;
-        double d = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            return csprintf("fault spec value '%s' for '%s' is not a "
-                            "number", val.c_str(), key.c_str());
-        if (key == "jitter_prob") {
-            out.msg_jitter_prob = d;
-        } else if (key == "jitter_max") {
-            out.msg_jitter_max = static_cast<Tick>(d);
-        } else if (key == "resv_drop_prob") {
-            out.resv_drop_prob = d;
-        } else if (key == "evict_prob") {
-            out.evict_prob = d;
-        } else if (key == "nack_prob") {
-            out.nack_prob = d;
-        } else if (key == "max_extra_nacks") {
-            out.max_extra_nacks = static_cast<int>(d);
-        } else if (key == "seed") {
-            out.seed = static_cast<std::uint64_t>(d);
-        } else if (key == "drop_prob") {
-            out.msg_drop_prob = d;
-        } else if (key == "flaky_links") {
-            out.flaky_links = static_cast<int>(d);
-        } else if (key == "flaky_window") {
-            out.flaky_window = static_cast<Tick>(d);
-        } else if (key == "flaky_duration") {
-            out.flaky_duration = static_cast<Tick>(d);
-        } else if (key == "flaky_drop_prob") {
-            out.flaky_drop_prob = d;
-        } else if (key == "req_timeout") {
-            out.req_timeout = static_cast<Tick>(d);
-        } else if (key == "quarantine_k") {
-            out.quarantine_k = static_cast<int>(d);
-        } else if (key == "quarantine_window") {
-            out.quarantine_window = static_cast<Tick>(d);
-        } else if (key == "reorder_prob") {
-            out.reorder_prob = d;
-        } else if (key == "reorder_max") {
-            out.reorder_max = static_cast<Tick>(d);
-        } else if (key == "dup_prob") {
-            out.dup_prob = d;
-        } else if (key == "dup_delay") {
-            out.dup_delay = static_cast<Tick>(d);
-        } else if (key == "corrupt_prob") {
-            out.corrupt_prob = d;
-        } else if (key == "resv_max_age") {
-            out.resv_max_age = static_cast<Tick>(d);
-        } else {
-            return csprintf("unknown fault spec key '%s'", key.c_str());
-        }
-    }
+    std::string err = parseSpecItems(
+        spec, "fault", [&](const std::string &key, double d) {
+            if (key == "jitter_prob")
+                out.msg_jitter_prob = d;
+            else if (key == "jitter_max")
+                out.msg_jitter_max = static_cast<Tick>(d);
+            else if (key == "resv_drop_prob")
+                out.resv_drop_prob = d;
+            else if (key == "evict_prob")
+                out.evict_prob = d;
+            else if (key == "nack_prob")
+                out.nack_prob = d;
+            else if (key == "max_extra_nacks")
+                out.max_extra_nacks = static_cast<int>(d);
+            else if (key == "seed")
+                out.seed = static_cast<std::uint64_t>(d);
+            else if (key == "drop_prob")
+                out.msg_drop_prob = d;
+            else if (key == "flaky_links")
+                out.flaky_links = static_cast<int>(d);
+            else if (key == "flaky_window")
+                out.flaky_window = static_cast<Tick>(d);
+            else if (key == "flaky_duration")
+                out.flaky_duration = static_cast<Tick>(d);
+            else if (key == "flaky_drop_prob")
+                out.flaky_drop_prob = d;
+            else if (key == "req_timeout")
+                out.req_timeout = static_cast<Tick>(d);
+            else if (key == "quarantine_k")
+                out.quarantine_k = static_cast<int>(d);
+            else if (key == "quarantine_window")
+                out.quarantine_window = static_cast<Tick>(d);
+            else if (key == "reorder_prob")
+                out.reorder_prob = d;
+            else if (key == "reorder_max")
+                out.reorder_max = static_cast<Tick>(d);
+            else if (key == "dup_prob")
+                out.dup_prob = d;
+            else if (key == "dup_delay")
+                out.dup_delay = static_cast<Tick>(d);
+            else if (key == "corrupt_prob")
+                out.corrupt_prob = d;
+            else if (key == "resv_max_age")
+                out.resv_max_age = static_cast<Tick>(d);
+            else
+                return false;
+            return true;
+        });
+    if (!err.empty())
+        return err;
     *this = out;
     return "";
 }
@@ -359,13 +343,9 @@ FaultConfig
 faultConfigFromEnv()
 {
     FaultConfig fc;
-    const char *spec = std::getenv("DSM_FAULTS");
-    if (spec == nullptr || *spec == '\0' ||
-        std::string(spec) == "0")
+    auto parse = [&](const std::string &spec) { return fc.parse(spec); };
+    if (!parseSpecEnv("DSM_FAULTS", parse))
         return fc;
-    std::string err = fc.parse(spec);
-    if (!err.empty())
-        dsm_fatal("DSM_FAULTS: %s", err.c_str());
     const char *seed = std::getenv("DSM_FAULT_SEED");
     if (seed != nullptr && *seed != '\0') {
         char *end = nullptr;

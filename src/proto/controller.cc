@@ -11,9 +11,6 @@
 
 #include "proto/controller.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "cpu/admission.hh"
 #include "cpu/system.hh"
 #include "fault/fault.hh"
@@ -26,18 +23,6 @@
 #include "stats/attribution.hh"
 
 namespace dsm {
-
-namespace {
-
-/** Message tracing for protocol debugging, enabled by DSM_TRACE=1. */
-bool
-traceEnabled()
-{
-    static const bool on = std::getenv("DSM_TRACE") != nullptr;
-    return on;
-}
-
-} // namespace
 
 Controller::Controller(System &sys, NodeId id)
     : _sys(sys), _id(id),
@@ -393,22 +378,6 @@ Controller::handleMsg(const Msg &m)
 {
     dsm_assert(m.dst == _id, "message for node %d delivered to %d",
                m.dst, _id);
-    if (traceEnabled()) {
-        std::fprintf(stderr,
-                     "[%8llu] %2d<-%-2d %-14s blk=%#llx w=%#llx "
-                     "val=%llu exp=%llu res=%llu ok=%d acks=%d ch=%d\n",
-                     static_cast<unsigned long long>(now()), m.dst,
-                     m.src, toString(m.type),
-                     static_cast<unsigned long long>(m.addr),
-                     static_cast<unsigned long long>(m.word_addr),
-                     static_cast<unsigned long long>(m.value),
-                     static_cast<unsigned long long>(m.expected),
-                     static_cast<unsigned long long>(m.result),
-                     m.success ? 1 : 0, m.ack_count, m.chain);
-        if (m.has_data)
-            std::fprintf(stderr, "           data0=%llu\n",
-                         static_cast<unsigned long long>(m.data[0]));
-    }
     switch (m.type) {
       // Home-targeted messages queue behind the memory module.
       case MsgType::GET_S:

@@ -53,6 +53,54 @@ SyncConfig::label() const
 }
 
 std::string
+parseSpecItems(
+    const std::string &spec, const char *what,
+    const std::function<bool(const std::string &key, double v)> &set,
+    const std::function<bool(const std::string &key,
+                             const std::string &val)> &word)
+{
+    std::size_t pos = 0;
+    while (pos < spec.size()) {
+        std::size_t comma = spec.find(',', pos);
+        if (comma == std::string::npos)
+            comma = spec.size();
+        std::string item = spec.substr(pos, comma - pos);
+        pos = comma + 1;
+        if (item.empty())
+            continue;
+        std::size_t eq = item.find('=');
+        if (eq == std::string::npos)
+            return csprintf("%s spec item '%s' is not key=value", what,
+                            item.c_str());
+        std::string key = item.substr(0, eq);
+        std::string val = item.substr(eq + 1);
+        if (word && word(key, val))
+            continue;
+        char *end = nullptr;
+        double d = std::strtod(val.c_str(), &end);
+        if (end == val.c_str() || *end != '\0')
+            return csprintf("%s spec value '%s' for '%s' is not a number",
+                            what, val.c_str(), key.c_str());
+        if (!set(key, d))
+            return csprintf("unknown %s spec key '%s'", what, key.c_str());
+    }
+    return "";
+}
+
+bool
+parseSpecEnv(const char *var,
+             const std::function<std::string(const std::string &)> &parse)
+{
+    const char *spec = std::getenv(var);
+    if (spec == nullptr || *spec == '\0' || std::string(spec) == "0")
+        return false;
+    std::string err = parse(spec);
+    if (!err.empty())
+        dsm_fatal("%s: %s", var, err.c_str());
+    return true;
+}
+
+std::string
 OpenLoopConfig::parse(const std::string &spec)
 {
     if (spec == "1" || spec == "on" || spec == "default") {
@@ -66,41 +114,24 @@ OpenLoopConfig::parse(const std::string &spec)
 
     OpenLoopConfig out;
     out.enabled = true;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            return csprintf("openloop spec item '%s' is not key=value",
-                            item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
-        char *end = nullptr;
-        double d = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            return csprintf("openloop spec value '%s' for '%s' is not "
-                            "a number", val.c_str(), key.c_str());
-        if (key == "rate") {
-            out.rate_ppc = d;
-        } else if (key == "burst") {
-            out.burst = static_cast<int>(d);
-        } else if (key == "queue_cap") {
-            out.queue_cap = static_cast<int>(d);
-        } else if (key == "slo_cycles") {
-            out.slo_cycles = static_cast<Tick>(d);
-        } else if (key == "ops_per_proc") {
-            out.ops_per_proc = static_cast<int>(d);
-        } else {
-            return csprintf("unknown openloop spec key '%s'",
-                            key.c_str());
-        }
-    }
+    std::string err = parseSpecItems(
+        spec, "openloop", [&](const std::string &key, double d) {
+            if (key == "rate")
+                out.rate_ppc = d;
+            else if (key == "burst")
+                out.burst = static_cast<int>(d);
+            else if (key == "queue_cap")
+                out.queue_cap = static_cast<int>(d);
+            else if (key == "slo_cycles")
+                out.slo_cycles = static_cast<Tick>(d);
+            else if (key == "ops_per_proc")
+                out.ops_per_proc = static_cast<int>(d);
+            else
+                return false;
+            return true;
+        });
+    if (!err.empty())
+        return err;
     *this = out;
     return "";
 }
@@ -118,12 +149,8 @@ OpenLoopConfig
 openLoopConfigFromEnv()
 {
     OpenLoopConfig ol;
-    const char *spec = std::getenv("DSM_OPENLOOP");
-    if (spec == nullptr || *spec == '\0' || std::string(spec) == "0")
-        return ol;
-    std::string err = ol.parse(spec);
-    if (!err.empty())
-        dsm_fatal("DSM_OPENLOOP: %s", err.c_str());
+    parseSpecEnv("DSM_OPENLOOP",
+                 [&](const std::string &spec) { return ol.parse(spec); });
     return ol;
 }
 
@@ -138,50 +165,37 @@ ServeConfig::parse(const std::string &spec)
 
     ServeConfig out;
     out.enabled = true;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            return csprintf("serve spec item '%s' is not key=value",
-                            item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
-        if (key == "credit_threshold" && val == "auto") {
+    std::string err = parseSpecItems(
+        spec, "serve",
+        [&](const std::string &key, double d) {
+            if (key == "combining")
+                out.combining = d != 0.0;
+            else if (key == "combine_limit")
+                out.combine_limit = static_cast<int>(d);
+            else if (key == "backpressure")
+                out.backpressure = d != 0.0;
+            else if (key == "credit_threshold")
+                out.credit_threshold = static_cast<int>(d);
+            else if (key == "priority")
+                out.priority = d != 0.0;
+            else if (key == "age_limit")
+                out.age_limit = static_cast<Tick>(d);
+            else if (key == "nack_backoff")
+                out.nack_backoff = d != 0.0;
+            else if (key == "backoff_cap")
+                out.backoff_cap = static_cast<int>(d);
+            else
+                return false;
+            return true;
+        },
+        [&](const std::string &key, const std::string &val) {
+            if (key != "credit_threshold" || val != "auto")
+                return false;
             out.credit_auto = true;
-            continue;
-        }
-        char *end = nullptr;
-        double d = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            return csprintf("serve spec value '%s' for '%s' is not "
-                            "a number", val.c_str(), key.c_str());
-        if (key == "combining") {
-            out.combining = d != 0.0;
-        } else if (key == "combine_limit") {
-            out.combine_limit = static_cast<int>(d);
-        } else if (key == "backpressure") {
-            out.backpressure = d != 0.0;
-        } else if (key == "credit_threshold") {
-            out.credit_threshold = static_cast<int>(d);
-        } else if (key == "priority") {
-            out.priority = d != 0.0;
-        } else if (key == "age_limit") {
-            out.age_limit = static_cast<Tick>(d);
-        } else if (key == "nack_backoff") {
-            out.nack_backoff = d != 0.0;
-        } else if (key == "backoff_cap") {
-            out.backoff_cap = static_cast<int>(d);
-        } else {
-            return csprintf("unknown serve spec key '%s'", key.c_str());
-        }
-    }
+            return true;
+        });
+    if (!err.empty())
+        return err;
     *this = out;
     return "";
 }
@@ -205,12 +219,8 @@ ServeConfig
 serveConfigFromEnv()
 {
     ServeConfig sv;
-    const char *spec = std::getenv("DSM_SERVE");
-    if (spec == nullptr || *spec == '\0' || std::string(spec) == "0")
-        return sv;
-    std::string err = sv.parse(spec);
-    if (!err.empty())
-        dsm_fatal("DSM_SERVE: %s", err.c_str());
+    parseSpecEnv("DSM_SERVE",
+                 [&](const std::string &spec) { return sv.parse(spec); });
     return sv;
 }
 

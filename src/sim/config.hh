@@ -7,6 +7,7 @@
 #ifndef DSM_SIM_CONFIG_HH
 #define DSM_SIM_CONFIG_HH
 
+#include <functional>
 #include <string>
 
 #include "sim/types.hh"
@@ -192,6 +193,31 @@ struct TelemetryConfig
     /** Rows of the ranked hot-line table in exports. */
     std::size_t hot_lines = 16;
 };
+
+/**
+ * The key=value grammar shared by the fault, open-loop and serve specs:
+ * comma-separated items, empty items skipped, every value a number.
+ * @p word, when given, may first claim an item whose value is a word
+ * (e.g. credit_threshold=auto) by returning true. @p set stores one
+ * numeric field and returns false for an unknown key.
+ *
+ * @return "" on success, otherwise an error naming the "<what> spec".
+ */
+std::string parseSpecItems(
+    const std::string &spec, const char *what,
+    const std::function<bool(const std::string &key, double v)> &set,
+    const std::function<bool(const std::string &key,
+                             const std::string &val)> &word = {});
+
+/**
+ * The environment rule shared by $DSM_FAULTS, $DSM_OPENLOOP and
+ * $DSM_SERVE: unset, empty, or "0" means off (returns false);
+ * otherwise @p parse must accept the spec, else a fatal
+ * "<var>: <error>".
+ */
+bool parseSpecEnv(const char *var,
+                  const std::function<std::string(const std::string &)>
+                      &parse);
 
 /**
  * Open-loop arrival configuration (workloads/openloop.hh). Off by

@@ -224,6 +224,30 @@ TEST(Experiment, ExplicitPointsKeepDeclarationOrderInReport)
     EXPECT_LT(c1, c2);
 }
 
+TEST(Experiment, MetaKeepsFull64BitValues)
+{
+    // A seed past 2^32 must not be cut to its low word in the report.
+    Experiment ex("meta64", smallConfig());
+    ex.quiet(true).writeReport(false).table(false);
+    ex.meta("seed", std::uint64_t{4294967297ULL}).meta("small",
+                                                       std::uint64_t{1});
+    ex.point("p", "", smallConfig(), [](System &) { return PointResult{}; });
+    ex.run(1);
+    std::string json = ex.reportJson();
+    EXPECT_NE(json.find("\"seed\":4294967297"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"small\":1,"), std::string::npos) << json;
+}
+
+TEST(SweepRunner, ParseSeedsFlagForms)
+{
+    const char *a1[] = {"bench", "--seeds", "8"};
+    EXPECT_EQ(parseSeedsFlag(3, const_cast<char **>(a1), 5), 8);
+    const char *a2[] = {"bench", "--seeds=3", "--seed", "9"};
+    EXPECT_EQ(parseSeedsFlag(4, const_cast<char **>(a2), 5), 3);
+    const char *a3[] = {"bench", "--seed", "9"};
+    EXPECT_EQ(parseSeedsFlag(3, const_cast<char **>(a3), 5), 5);
+}
+
 TEST(ExperimentDeath, SystemRejectsInvalidPointConfig)
 {
     Config bad = smallConfig();

@@ -381,7 +381,7 @@ TEST(Recovery, ClearStatsCarriesPendingLedger)
 
 TEST(Recovery, LockFreeCounterMatrixUnderLoss)
 {
-    // The reduced campaign the recovery_sweep bench runs at scale:
+    // The reduced campaign `campaign recovery` runs at scale:
     // every primitive's lock-free counter, with loss, must complete
     // with an exact result and reconciled accounting.
     for (Primitive prim :
