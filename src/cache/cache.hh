@@ -89,6 +89,12 @@ class Cache
     /** Find the line holding @p a; nullptr on miss. Updates LRU. */
     CacheLine *lookup(Addr a);
 
+    /**
+     * Record @p n further hits on the resident line holding @p a,
+     * exactly as @p n hitting lookup()s would (spin elision).
+     */
+    void creditHits(Addr a, std::uint64_t n);
+
     /** Find without disturbing replacement state. */
     const CacheLine *peek(Addr a) const;
 

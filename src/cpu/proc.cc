@@ -8,7 +8,8 @@ namespace dsm {
 Proc::Proc(System &sys, NodeId id) : _sys(sys), _id(id) {}
 
 void
-Proc::issue(AtomicOp op, Addr a, Word v, Word exp, Controller::DoneFn done)
+Proc::issue(AtomicOp op, Addr a, Word v, Word exp, Controller::DoneFn done,
+            const Controller::SpinPred *spin)
 {
     ++_ops_issued;
     bool is_sync = _sys.isSync(a) && op != AtomicOp::DROP_COPY;
@@ -59,7 +60,8 @@ Proc::issue(AtomicOp op, Addr a, Word v, Word exp, Controller::DoneFn done)
             }
             self->noteResult(the_op, r);
             done(r);
-        });
+        },
+        spin);
 }
 
 void
@@ -95,6 +97,28 @@ Proc::Op::await_suspend(std::coroutine_handle<> h)
                    result = r;
                    h.resume();
                });
+}
+
+void
+Proc::SpinOp::await_suspend(std::coroutine_handle<> h)
+{
+    handle = h;
+    reread();
+}
+
+void
+Proc::SpinOp::reread()
+{
+    proc.issue(AtomicOp::LOAD, addr, 0, 0,
+               [this](OpResult r) {
+                   if (pred(r.value)) {
+                       reread();
+                   } else {
+                       result = r;
+                       handle.resume();
+                   }
+               },
+               &pred);
 }
 
 void

@@ -17,6 +17,7 @@
 #define DSM_CPU_PROC_HH
 
 #include <coroutine>
+#include <utility>
 
 #include "net/msg.hh"
 #include "proto/controller.hh"
@@ -120,6 +121,39 @@ class Proc
         return Op{*this, AtomicOp::SCS, a, v, serial};
     }
 
+    /**
+     * Awaitable spin loop: re-read @p addr with ordinary loads while
+     * `pred(value)` holds; resumes with the first load result that
+     * breaks it. The events are exactly those of
+     * `while (pred((co_await load(addr)).value)) {}`, but a re-read
+     * that hits the cached line parks the processor on it (spin
+     * elision, see Controller) until a message for the block arrives.
+     * @p pred must be a pure function of the word.
+     */
+    struct SpinOp
+    {
+        Proc &proc;
+        Addr addr;
+        Controller::SpinPred pred;
+        OpResult result{};
+        std::coroutine_handle<> handle{};
+
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h);
+        OpResult await_resume() const noexcept { return result; }
+
+        /** Issue the next re-read. */
+        void reread();
+    };
+
+    /** Spin on @p a while @p pred holds for the word read. */
+    template <typename Pred>
+    SpinOp
+    spinWhile(Addr a, Pred &&pred)
+    {
+        return SpinOp{*this, a, std::forward<Pred>(pred)};
+    }
+
     /** Awaitable local computation delay of a fixed number of cycles. */
     struct Delay
     {
@@ -138,13 +172,21 @@ class Proc
     std::uint64_t opsIssued() const { return _ops_issued; }
     /** @} */
 
+    /** Count @p n loads the controller elided while parked. */
+    void creditElidedLoads(std::uint64_t n) { _ops_issued += n; }
+
   private:
     friend struct Op;
+    friend struct SpinOp;
     friend struct Delay;
 
-    /** Issue to the controller with sharing-pattern instrumentation. */
+    /**
+     * Issue to the controller with sharing-pattern instrumentation.
+     * @param spin The spin predicate of a SpinOp re-read, else null.
+     */
     void issue(AtomicOp op, Addr a, Word v, Word exp,
-               Controller::DoneFn done);
+               Controller::DoneFn done,
+               const Controller::SpinPred *spin = nullptr);
 
     /** Track consecutive failed attempts (spin-loop iterations). */
     void noteResult(AtomicOp op, const OpResult &r);

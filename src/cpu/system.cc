@@ -74,6 +74,9 @@ System::System(const Config &cfg)
                            [this](Tick t) { _telemetry.sample(t); });
         }
     }
+    _spin_elision = _cfg.machine.spin_elision && !_cfg.trace.enabled &&
+                    !_cfg.txn_trace.enabled && _faults_on == nullptr &&
+                    _recovery_on == nullptr && _watchdog_on == nullptr;
     buildRegistry();
     if (_cfg.machine.spurious_resv_period > 0)
         scheduleSpuriousInvalidation();
@@ -549,9 +552,10 @@ System::report() const
     out += csprintf("sync implementation: %s (policy %s)\n",
                     _cfg.sync.label().c_str(),
                     toString(_cfg.sync.policy));
-    out += csprintf("time: %llu cycles, %llu events\n",
+    out += csprintf("time: %llu cycles, %llu events (%llu elided)\n",
                     (unsigned long long)_eq.now(),
-                    (unsigned long long)_eq.eventsExecuted());
+                    (unsigned long long)_eq.eventsExecuted(),
+                    (unsigned long long)_eq.eventsElided());
 
     const MeshStats &ms = _mesh.stats();
     out += csprintf("network: %llu messages (%llu flits, %.1f avg hops)"
@@ -690,10 +694,14 @@ System::run(Tick max_ticks)
         if (_eq.now() > deadline)
             break;
         // Step in small chunks so the (O(tasks)) pending check does not
-        // dominate event processing.
-        for (int i = 0; i < 64 && !_eq.empty(); ++i)
-            _eq.step();
+        // dominate event processing. Chunks holding only elided spin
+        // iterations run no task code, so only the deadline check can
+        // change across them: skip those in bulk.
+        _eq.run(64);
+        _eq.skipElided(64, deadline);
     }
+    // Processors still parked at the deadline owe their elided hits.
+    _eq.flushElided();
     r.completed = tasksPending() == 0;
     if (r.completed) {
         // Quiesce: drain in-flight protocol traffic (write-backs,

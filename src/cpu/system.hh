@@ -104,6 +104,8 @@ class System
     void
     clearStats()
     {
+        // Parked spinners' elided hits so far belong to the old window.
+        _eq.flushElided();
         for (SysStats &s : _node_stats)
             s = SysStats{};
         // Keep the fault counters in step with the protocol counters
@@ -261,6 +263,14 @@ class System
         return isSync(a) ? _cfg.sync.policy : SyncPolicy::INV;
     }
 
+    /**
+     * True when spin loops may park on their cached line: the
+     * machine.spin_elision knob, unless a per-op observer (tracer,
+     * transaction tracer, fault plan, recovery, watchdog) is on — each
+     * of those must see every re-read.
+     */
+    bool spinElision() const { return _spin_elision; }
+
     /** @name Address-space management. @{ */
 
     /** Allocate ordinary shared memory. */
@@ -366,6 +376,7 @@ class System
     ServeStats _serve_stats;
     /** Live credit threshold (serve.credit_threshold=auto). */
     int _credit_threshold = 0;
+    bool _spin_elision = false;
     /** Non-null only when the corresponding feature is enabled. */
     FaultPlan *_faults_on = nullptr;
     Watchdog *_watchdog_on = nullptr;

@@ -473,6 +473,13 @@ Experiment::run(int jobs)
     _report.meta("procs", _base.machine.num_procs);
     _report.meta("mesh_x", _base.machine.mesh_x);
     _report.meta("mesh_y", _base.machine.mesh_y);
+    std::uint64_t modelled = 0, elided = 0;
+    for (const PointResult &r : _results) {
+        modelled += r.events_modelled;
+        elided += r.events_elided;
+    }
+    _report.provenance("events_modelled", modelled);
+    _report.provenance("events_elided", elided);
     for (std::size_t i = 0; i < _points.size(); ++i) {
         BenchRow out;
         if (!_row_key.empty())

@@ -18,7 +18,10 @@ PointResult
 executePoint(const Point &p)
 {
     System sys(p.cfg);
-    return p.fn(sys);
+    PointResult r = p.fn(sys);
+    r.events_modelled = sys.eq().eventsExecuted();
+    r.events_elided = sys.eq().eventsElided();
+    return r;
 }
 
 } // anonymous namespace

@@ -52,6 +52,14 @@ struct PointResult
      * rendered JSON object.
      */
     std::string ts_json;
+
+    /**
+     * Host provenance (filled by the runner): the events the point's
+     * model ran and how many of them were elided spin iterations.
+     * Written only into the report file's meta, never into rows.
+     */
+    std::uint64_t events_modelled = 0;
+    std::uint64_t events_elided = 0;
 };
 
 /** The workload of one point, run on a freshly built System. */

@@ -139,6 +139,8 @@ Controller::commit(tf::Outcome o)
           case tf::EffectKind::COMPLETE:
             if (ef.delay == 0) {
                 finishNow(ef.value, ef.flag, ef.serial);
+            } else if (_spin_pred != nullptr && (*_spin_pred)(ef.value)) {
+                parkSpin(ef);
             } else {
                 Word value = ef.value;
                 bool success = ef.flag;
@@ -166,7 +168,7 @@ Controller::commit(tf::Outcome o)
 
 void
 Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
-                       DoneFn done)
+                       DoneFn done, const SpinPred *spin)
 {
     dsm_assert(!_st.txn.active,
                "processor %d issued %s with a transaction outstanding",
@@ -228,7 +230,50 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
     req.expected = expected;
     req.txn_id = txn_id;
     req.start = now();
+    // Only a hit completes with a delay at issue, so a spin load parks
+    // exactly when it hits a value its loop re-reads (never under UNC:
+    // nothing is cached there).
+    if (spin != nullptr && _sys.spinElision()) {
+        dsm_assert(op == AtomicOp::LOAD, "only loads spin in place");
+        _spin_pred = spin;
+    }
     commit(tf::issue(env(), _st, req));
+    _spin_pred = nullptr;
+}
+
+void
+Controller::parkSpin(const tf::Effect &complete)
+{
+    // Every re-read until the line changes would hit, read this same
+    // value and loop again, so the queue runs them as a ghost chain.
+    _spin_parked = true;
+    _spin_value = complete.value;
+    _spin_serial = complete.serial;
+    _spin_period = complete.delay;
+    _sys.eq().park(this, complete.delay);
+}
+
+void
+Controller::wakeSpin()
+{
+    _spin_parked = false;
+    Word value = _spin_value;
+    Word serial = _spin_serial;
+    _sys.eq().wake(this, [this, value, serial] {
+        finishNow(value, true, serial);
+    });
+}
+
+void
+Controller::creditElided(std::uint64_t n)
+{
+    // Each elided iteration completed one hit load (latency one period,
+    // no messages) and issued the next: a hit, an LRU touch, an op.
+    _sys.stats(_id).sampleOp(AtomicOp::LOAD, _spin_period,
+                             _st.txn.max_chain, n);
+    _st.cache.creditHits(_st.txn.addr, n);
+    _st.txn.start += n * _spin_period;
+    _sys.proc(_id).creditElidedLoads(n);
 }
 
 void
@@ -378,6 +423,16 @@ Controller::handleMsg(const Msg &m)
 {
     dsm_assert(m.dst == _id, "message for node %d delivered to %d",
                m.dst, _id);
+    // A message for the parked line may change it: resume the real
+    // spin first, so the transition sees the unelided state. Any other
+    // transition may still touch this cache's LRU stamps, so the elided
+    // hits so far land first.
+    if (_spin_parked) {
+        if (blockBase(m.addr) == blockBase(_st.txn.addr))
+            wakeSpin();
+        else
+            _sys.eq().flushElided(this);
+    }
     switch (m.type) {
       // Home-targeted messages queue behind the memory module.
       case MsgType::GET_S:

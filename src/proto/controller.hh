@@ -29,6 +29,7 @@
 #include "cache/cache.hh"
 #include "net/msg.hh"
 #include "proto/transition.hh"
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace dsm {
@@ -55,11 +56,22 @@ struct OpResult
     Word serial = 0;
 };
 
-/** One node's cache/directory controller (transition-function driver). */
-class Controller : private tf::StepCtx
+/**
+ * One node's cache/directory controller (transition-function driver).
+ *
+ * It also parks a spinning processor (spin elision): a load issued by
+ * Proc::spinWhile() that hits a resident line and reads a value the
+ * spin predicate keeps looping on becomes a ghost chain in the event
+ * queue instead of one event per re-read. Any message for that block
+ * wakes the chain before the transition runs; the elided hits are
+ * credited in bulk (EventQueue::Spinner).
+ */
+class Controller : private tf::StepCtx, private EventQueue::Spinner
 {
   public:
     using DoneFn = std::function<void(OpResult)>;
+    /** Spin predicate: true while the loop keeps re-reading. */
+    using SpinPred = std::function<bool(Word)>;
 
     Controller(System &sys, NodeId id);
 
@@ -70,9 +82,12 @@ class Controller : private tf::StepCtx
      * Issue a processor operation. Exactly one operation may be
      * outstanding; the processor model enforces this by blocking.
      * @param done Invoked once, at the operation's completion tick.
+     * @param spin For a LOAD re-read by a spin loop: the loop's
+     *        predicate. When spin elision is on and the load hits a
+     *        value it holds for, the processor parks on the line.
      */
     void cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
-                    DoneFn done);
+                    DoneFn done, const SpinPred *spin = nullptr);
 
     /** True while a processor operation is in flight. */
     bool cpuBusy() const { return _st.txn.active; }
@@ -175,6 +190,15 @@ class Controller : private tf::StepCtx
     void send(Msg m);
     Tick now() const;
 
+    /** @name Spin elision. @{ */
+    /** Park on the line instead of scheduling a hit's completion. */
+    void parkSpin(const tf::Effect &complete);
+    /** Turn the parked completion back into a real event. */
+    void wakeSpin();
+    /** EventQueue::Spinner: credit @p n elided load iterations. */
+    void creditElided(std::uint64_t n) override;
+    /** @} */
+
     System &_sys;
     NodeId _id;
     tf::CtrlState _st;
@@ -183,6 +207,16 @@ class Controller : private tf::StepCtx
     DoneFn _done;
     /** Tracer flow id of the outstanding operation (driver-only). */
     std::uint32_t _trace_flow = 0;
+
+    /** @name Spin elision state. @{ */
+    /** Predicate of the spin load being issued (during issue only). */
+    const SpinPred *_spin_pred = nullptr;
+    bool _spin_parked = false;
+    /** The parked load's completion: value, serial, hit latency. */
+    Word _spin_value = 0;
+    Word _spin_serial = 0;
+    Tick _spin_period = 0;
+    /** @} */
 
     /** @name Overload-protection driver state (serve.enabled only). @{ */
     /** A memory service slot is reserved for this home's queue. */

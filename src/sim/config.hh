@@ -119,6 +119,15 @@ struct MachineConfig
     Tick spurious_resv_period = 0;
     /** RNG seed for the whole system. */
     std::uint64_t seed = 1;
+    /**
+     * Spin elision: a processor spinning on an unchanged cached word
+     * parks on its line instead of running one event per re-read;
+     * the elided hits are credited exactly, so every statistic is
+     * unchanged. Off only for A/B checks; per-op observers (tracing,
+     * transaction tracing, faults, recovery, the watchdog) turn it
+     * off regardless.
+     */
+    bool spin_elision = true;
 
     /** Sanity-check the parameters; dsm_fatal on user error. */
     void validate() const;

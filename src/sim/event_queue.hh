@@ -11,6 +11,17 @@
  * schedule/fire path performs no per-event heap allocation once the
  * pool is warm (callbacks larger than the inline buffer fall back to
  * one heap allocation). Fired events return to a free list for reuse.
+ *
+ * Spin elision: a processor re-reading an unchanged cached word can
+ * park as a *ghost chain* — the periodic completion events it would
+ * have run, kept as one (tick, order key) position instead of heap
+ * entries. Chains that reach the same position move on together as
+ * one cohort, so advancing every parked chain past a real event costs
+ * O(cohorts), not O(elided events). Ghost events keep their exact
+ * place in the (tick, seq) order and count in eventsExecuted(); their
+ * statistics are credited to the Spinner lazily (flushElided(), window
+ * boundaries, wake()); wake() turns a chain's pending completion back
+ * into a real event. See DESIGN.md, "Spin elision".
  */
 
 #ifndef DSM_SIM_EVENT_QUEUE_HH
@@ -42,6 +53,21 @@ class EventQueue
     /** Generic callback type; any callable may be scheduled directly. */
     using Callback = std::function<void()>;
 
+    /** Owner of a parked ghost chain (a processor spinning in place). */
+    class Spinner
+    {
+      public:
+        /**
+         * Account for @p n elided iterations (each a completion plus
+         * the re-issue of the same cache-hit load), exactly as the
+         * events would have recorded them.
+         */
+        virtual void creditElided(std::uint64_t n) = 0;
+
+      protected:
+        ~Spinner() = default;
+    };
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -50,14 +76,20 @@ class EventQueue
     /** Current simulated time in cycles. */
     Tick now() const { return _now; }
 
-    /** Number of events executed since construction. */
+    /**
+     * Number of events executed since construction, elided spin
+     * iterations included: the count the unelided model would run.
+     */
     std::uint64_t eventsExecuted() const { return _executed; }
 
-    /** True if no events remain pending. */
-    bool empty() const { return _heap.empty(); }
+    /** The part of eventsExecuted() that ran as elided ghost events. */
+    std::uint64_t eventsElided() const { return _elided; }
 
-    /** Number of pending events. */
-    std::size_t pending() const { return _heap.size(); }
+    /** True if no events remain pending (parked chains count). */
+    bool empty() const { return _heap.empty() && _cohorts.empty(); }
+
+    /** Number of pending events (one per parked chain included). */
+    std::size_t pending() const { return _heap.size() + _parked; }
 
     /**
      * Schedule a callable at an absolute tick.
@@ -72,12 +104,8 @@ class EventQueue
                    "scheduling into the past: %llu < %llu",
                    static_cast<unsigned long long>(when),
                    static_cast<unsigned long long>(_now));
-        Event *e = allocate();
-        e->when = when;
-        e->seq = _next_seq++;
-        bindCallback(e, std::forward<F>(f));
-        _heap.push_back(e);
-        siftUp(_heap.size() - 1);
+        push(when, (_next_seq++ << RANK_BITS) | REAL_RANK,
+             std::forward<F>(f));
     }
 
     /** Schedule a callable @p delay cycles from now. */
@@ -113,13 +141,65 @@ class EventQueue
     sampleUpTo(Tick when)
     {
         while (_next_sample <= when) {
+            if (!_cohorts.empty())
+                flushElided();
             _sampler(_next_sample);
             _next_sample += _sample_period;
         }
     }
 
     /**
-     * Execute the single next event, advancing the clock to it.
+     * Park @p owner: the completion just issued — due @p period cycles
+     * from now, re-issued every @p period cycles after that — becomes
+     * a ghost chain instead of a scheduled event. Every chain shares
+     * one period. Call from inside a running event, in place of the
+     * scheduleIn(period, ...) the completion would have made.
+     */
+    void park(Spinner *owner, Tick period);
+
+    /**
+     * Unpark @p owner: its pending completion becomes the real event
+     * @p f at the exact (tick, order) position the chain holds. Call
+     * from inside a running event; the chain has been advanced up to
+     * that event and is credited first, so the caller sees exact
+     * counters.
+     */
+    template <typename F>
+    void
+    wake(Spinner *owner, F &&f)
+    {
+        Tick when;
+        std::uint64_t key;
+        unpark(owner, when, key);
+        push(when, key, std::forward<F>(f));
+    }
+
+    /**
+     * Credit @p owner's elided events so far (those before the running
+     * event): its statistics become exact without waking it.
+     */
+    void flushElided(Spinner *owner);
+
+    /**
+     * Credit every parked chain's elided events so far. Window
+     * boundaries flush on their own; callers reading statistics after
+     * driving the queue directly flush first (System::run does).
+     */
+    void flushElided();
+
+    /**
+     * Execute, in bulk, every whole run of @p chunk consecutive elided
+     * events at ticks <= @p deadline that precede the next real event
+     * — a run(chunk) loop that checks task state between chunks can
+     * skip chunks in which no real event (and so no task) runs.
+     * @return the number of events executed.
+     */
+    std::uint64_t skipElided(std::uint64_t chunk, Tick deadline);
+
+    /**
+     * Execute the single next event, advancing the clock to it. Here
+     * and in run()/runUntil(), an elided spin iteration counts as one
+     * event, exactly as it would without elision.
      * @return false if the queue was empty.
      */
     bool step();
@@ -139,6 +219,15 @@ class EventQueue
     std::uint64_t runUntil(Tick when, std::uint64_t limit = UINT64_MAX);
 
   private:
+    /**
+     * The order key of an event is (seq << RANK_BITS) | rank. Real
+     * events take rank REAL_RANK; a ghost chain or woken completion
+     * sits "just before" the real seq it would have consumed, with a
+     * rank that orders chains sharing that position.
+     */
+    static constexpr unsigned RANK_BITS = 20;
+    static constexpr std::uint64_t REAL_RANK = (1ULL << RANK_BITS) - 1;
+
     /**
      * Inline callback storage. Sized so the protocol's hottest closures
      * (a captured Msg plus a few pointers) avoid the heap fallback.
@@ -203,10 +292,86 @@ class EventQueue
         return a->seq > b->seq;
     }
 
+    template <typename F>
+    void
+    push(Tick when, std::uint64_t key, F &&f)
+    {
+        Event *e = allocate();
+        e->when = when;
+        e->seq = key;
+        bindCallback(e, std::forward<F>(f));
+        _heap.push_back(e);
+        siftUp(_heap.size() - 1);
+    }
+
     Event *allocate();
     void release(Event *e);
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
+
+    /** Execute the next real event (its ghosts already advanced). */
+    void runTop();
+
+    /**
+     * Execute modelled events — real and elided — until @p limit have
+     * run or the next one lies past tick @p bound.
+     */
+    std::uint64_t advance(std::uint64_t limit, Tick bound);
+
+    /** @name Ghost chains (spin elision). @{ */
+    /** One parked chain. */
+    struct Member
+    {
+        Spinner *owner;
+        /** Tick of its pending completion when last credited. */
+        Tick g0;
+    };
+
+    /**
+     * Chains at one position: member i's next elided completion fires
+     * at tick g with order key `key + i`.
+     */
+    struct Cohort
+    {
+        Tick g = 0;
+        std::uint64_t key = 0;
+        std::vector<Member> members;
+        /** Scratch for advanceGhosts(): the position before a step. */
+        Tick old_g = 0;
+        std::uint64_t old_key = 0;
+    };
+
+    static bool
+    before(Tick g, std::uint64_t key, Tick t, std::uint64_t k)
+    {
+        return g < t || (g == t && key < k);
+    }
+
+    /** Where the next real event sits; (NEVER, 0) with none. */
+    void realTop(Tick &t, std::uint64_t &key) const;
+    /** Ghost events before position (t, key), over all chains. */
+    std::uint64_t elidedBefore(Tick t, std::uint64_t key) const;
+    /** Tick of the last ghost event before (t, key); needs one. */
+    Tick lastElidedBefore(Tick t, std::uint64_t key) const;
+    /** @p n consecutive order keys just before real seq _next_seq. */
+    std::uint64_t ghostKeys(std::size_t n);
+    /** Execute every ghost event before (t, key), boundaries included. */
+    void stepGhosts(Tick t, std::uint64_t key);
+    /** stepGhosts() without window boundaries. */
+    void advanceGhosts(Tick t, std::uint64_t key);
+    /**
+     * Execute exactly the first @p k ghost events; they all lie before
+     * the real event at tick @p t, or before tick @p t + 1 with none.
+     */
+    void elide(std::uint64_t k, Tick t);
+    /** Credit member @p m of a cohort at tick @p g. */
+    void credit(Member &m, Tick g);
+    /** Remove @p owner's chain, credited; report its position. */
+    void unpark(const Spinner *owner, Tick &when, std::uint64_t &key);
+    /** Restore (g, key) order, then merge adjacent cohorts at one tick
+     *  whose keys are contiguous. */
+    void sortCohorts();
+    /** @} */
 
     /** Min-heap of pending events ordered by (when, seq). */
     std::vector<Event *> _heap;
@@ -220,6 +385,17 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t _next_seq = 0;
     std::uint64_t _executed = 0;
+    std::uint64_t _elided = 0;
+
+    /** Parked chains, sorted by (g, key). */
+    std::vector<Cohort> _cohorts;
+    /** Number of parked chains. */
+    std::size_t _parked = 0;
+    /** The period every parked chain shares. */
+    Tick _ghost_period = 0;
+    /** The _next_seq the rank counter belongs to, and its next rank. */
+    std::uint64_t _rank_seq = 0;
+    std::uint64_t _rank_next = 0;
 
     /** @name Telemetry sampling hook (0 = no sampler attached). @{ */
     Tick _sample_period = 0;

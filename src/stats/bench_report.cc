@@ -187,6 +187,12 @@ BenchReport::meta(const std::string &k, int v)
     _meta.emplace_back(k, csprintf("%d", v));
 }
 
+void
+BenchReport::provenance(const std::string &k, std::uint64_t v)
+{
+    _provenance.emplace_back(k, v);
+}
+
 BenchRow &
 BenchReport::row()
 {
@@ -216,6 +222,8 @@ BenchReport::render(bool provenance) const
         w.kv("host_cores",
              static_cast<std::uint64_t>(
                  std::thread::hardware_concurrency()));
+        for (const auto &[k, v] : _provenance)
+            w.kv(k, v);
     }
     w.endObject();
     w.key("results");

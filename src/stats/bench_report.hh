@@ -81,6 +81,12 @@ class BenchReport
   public:
     explicit BenchReport(std::string name);
 
+    /**
+     * Add a host-provenance count rendered after wall_ms in the written
+     * file only (like wall_ms, it may differ between equivalent runs).
+     */
+    void provenance(const std::string &k, std::uint64_t v);
+
     /** Add a run-level metadata entry (rendered under "meta"). */
     void meta(const std::string &k, const std::string &v);
     void meta(const std::string &k, double v);
@@ -117,6 +123,7 @@ class BenchReport
 
     std::string _name;
     std::vector<std::pair<std::string, std::string>> _meta;
+    std::vector<std::pair<std::string, std::uint64_t>> _provenance;
     std::vector<BenchRow> _rows;
     /** Construction time, for the written report's wall_ms. */
     std::chrono::steady_clock::time_point _created;

@@ -9,6 +9,8 @@ namespace dsm {
 void
 Histogram::add(std::uint64_t value, std::uint64_t count)
 {
+    if (count == 0)
+        return;
     if (value >= _buckets.size())
         _buckets.resize(value + 1, 0);
     _buckets[value] += count;

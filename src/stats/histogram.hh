@@ -17,7 +17,7 @@ namespace dsm {
 class Histogram
 {
   public:
-    /** Record one sample. */
+    /** Record @p count samples of @p value (count == 0 is a no-op). */
     void add(std::uint64_t value, std::uint64_t count = 1);
 
     /** Total number of samples. */

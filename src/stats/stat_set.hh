@@ -36,14 +36,17 @@ struct LatencyStat
     /** Sample distribution in (1 << BUCKET_SHIFT)-cycle buckets. */
     Histogram dist;
 
+    /** Record @p n samples of latency @p t (n == 0 records nothing). */
     void
-    sample(Tick t)
+    sample(Tick t, std::uint64_t n = 1)
     {
-        ++count;
-        sum += t;
+        if (n == 0)
+            return;
+        count += n;
+        sum += t * n;
         if (t > max)
             max = t;
-        dist.add(t >> BUCKET_SHIFT);
+        dist.add(t >> BUCKET_SHIFT, n);
     }
 
     double
@@ -110,13 +113,14 @@ struct SysStats
     /** Longest serialized message chain per completed operation. */
     Histogram chain_length;
 
+    /** Record @p n completions of @p op with the same latency/chain. */
     void
-    sampleOp(AtomicOp op, Tick latency, int chain)
+    sampleOp(AtomicOp op, Tick latency, int chain, std::uint64_t n = 1)
     {
         int i = static_cast<int>(op);
-        ++op_count[i];
-        op_latency[i].sample(latency);
-        chain_length.add(static_cast<std::uint64_t>(chain));
+        op_count[i] += n;
+        op_latency[i].sample(latency, n);
+        chain_length.add(static_cast<std::uint64_t>(chain), n);
     }
 
     /** Fold another node's statistics into this instance. */

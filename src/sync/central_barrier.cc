@@ -53,9 +53,8 @@ CentralBarrier::arrive(Proc &p)
         co_await p.store(_count, 0);
         co_await p.store(_sense, round);
     } else {
-        while ((co_await p.load(_sense)).value < round) {
-            // Spin on the shared sense word.
-        }
+        // Spin on the shared sense word.
+        co_await p.spinWhile(_sense, [round](Word v) { return v < round; });
     }
 }
 

@@ -59,10 +59,9 @@ ClhLock::acquire(Proc &p)
     dsm_assert(pred != 0, "CLH tail was uninitialized");
     int pred_node = static_cast<int>(pred) - 1;
     _my_pred[me] = pred_node;
-    while ((co_await p.load(
-                _node[static_cast<std::size_t>(pred_node)])).value != 0) {
-        // Spin on the predecessor's flag (ordinary cached data).
-    }
+    // Spin on the predecessor's flag (ordinary cached data).
+    co_await p.spinWhile(_node[static_cast<std::size_t>(pred_node)],
+                         [](Word v) { return v != 0; });
     ++_acquisitions;
 }
 

@@ -76,9 +76,9 @@ RwLock::writerAcquire(Proc &p)
                 break;
             co_await p.compute(backoff.next(_sys.rng()));
         }
-        while (((co_await p.load(_state)).value & ~WRITER_BIT) != 0) {
-            // Wait for active readers to release.
-        }
+        // Wait for active readers to release.
+        co_await p.spinWhile(
+            _state, [](Word v) { return (v & ~WRITER_BIT) != 0; });
         co_return;
     }
     // CAS/LLSC: transition 0 -> WRITER_BIT.

@@ -41,9 +41,9 @@ CoTask<Word>
 TicketLock::acquire(Proc &p)
 {
     Word ticket = co_await takeTicket(p);
-    while ((co_await p.load(_now_serving)).value != ticket) {
-        // Spin; under INV this hits the cached copy until released.
-    }
+    // Spin; under INV this hits the cached copy until released.
+    co_await p.spinWhile(_now_serving,
+                         [ticket](Word v) { return v != ticket; });
     co_return ticket;
 }
 

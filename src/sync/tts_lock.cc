@@ -20,10 +20,9 @@ TtsLock::acquire(Proc &p)
 
     for (;;) {
         // Test phase: spin on ordinary reads until the lock looks free.
-        while ((co_await p.load(_addr)).value != 0) {
-            // The read itself paces the loop (it takes at least a cache
-            // hit, and a full round trip under UNC).
-        }
+        // The read itself paces the loop (it takes at least a cache
+        // hit, and a full round trip under UNC).
+        co_await p.spinWhile(_addr, [](Word v) { return v != 0; });
 
         // Attempt phase with the configured primitive.
         bool got = false;

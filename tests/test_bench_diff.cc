@@ -234,4 +234,29 @@ TEST(BenchReportProvenance, WrittenReportCarriesProvenance)
     unsetenv("DSM_BENCH_DIR");
 }
 
+TEST(BenchReportProvenance, EventCountsOnlyInTheWrittenFile)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::path(testing::TempDir()) / "bench_prov_events";
+    fs::create_directories(dir);
+    setenv("DSM_BENCH_DIR", dir.string().c_str(), 1);
+
+    BenchReport rep("prov_events");
+    rep.provenance("events_modelled", std::uint64_t{1000});
+    rep.provenance("events_elided", std::uint64_t{990});
+    EXPECT_EQ(rep.toJson().find("events_"), std::string::npos);
+
+    std::string path = rep.write();
+    ASSERT_FALSE(path.empty());
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    dsm::JsonValue root = parsed(text);
+    const dsm::JsonValue *meta = root.find("meta");
+    ASSERT_NE(meta, nullptr);
+    EXPECT_EQ(meta->num("events_modelled"), 1000.0);
+    EXPECT_EQ(meta->num("events_elided"), 990.0);
+    unsetenv("DSM_BENCH_DIR");
+}
+
 } // anonymous namespace

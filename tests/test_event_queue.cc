@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 using namespace dsm;
 
@@ -209,4 +210,135 @@ TEST(EventQueuePool, DestroysPendingCallbacks)
         EXPECT_FALSE(watch.expired());
     }
     EXPECT_TRUE(watch.expired());
+}
+
+namespace {
+
+/**
+ * Spinners plus seeded random real events. With ghosts off, each
+ * spinner's re-reads are real self-rescheduling events (the reference);
+ * with ghosts on, they are parked chains. Both runs must execute the
+ * same real events, at the same ticks, in the same order.
+ */
+class SpinWorld
+{
+  public:
+    struct Spin : EventQueue::Spinner
+    {
+        bool parked = false;
+        bool woken = false;
+        std::uint64_t iterations = 0;
+        void creditElided(std::uint64_t n) override { iterations += n; }
+    };
+
+    SpinWorld(bool ghosts, Tick period, std::uint64_t seed)
+        : spins(6), _ghosts(ghosts), _h(period), _rng(seed)
+    {
+        for (int i = 0; i < 40; ++i)
+            eq.schedule(_rng.below(200), [this] { real(); });
+        for (int i = 0; i < 6; ++i)
+            eq.schedule(_rng.below(50), [this, i] { startSpin(i); });
+    }
+
+    /** Drive the queue like System::run: 37-event chunks to a deadline. */
+    void
+    drive(Tick deadline)
+    {
+        while (eq.now() <= deadline && !eq.empty()) {
+            eq.run(37);
+            eq.skipElided(37, deadline);
+        }
+        eq.flushElided();
+    }
+
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> log;
+    std::vector<Spin> spins;
+
+  private:
+    void
+    startSpin(int i)
+    {
+        log.emplace_back(eq.now(), 1000 + i);
+        issue(i);
+    }
+
+    /** One re-read: its completion is due one period from now. */
+    void
+    issue(int i)
+    {
+        spins[i].parked = true;
+        if (_ghosts)
+            eq.park(&spins[i], _h);
+        else
+            eq.scheduleIn(_h, [this, i] { complete(i); });
+    }
+
+    void
+    complete(int i)
+    {
+        Spin &s = spins[i];
+        if (!s.woken) {
+            // Reference only: an unwoken re-read loops.
+            ++s.iterations;
+            issue(i);
+            return;
+        }
+        s.parked = false;
+        s.woken = false;
+        log.emplace_back(eq.now(), 2000 + i);
+        if (_rng.below(2) == 0)
+            eq.scheduleIn(_rng.below(9), [this, i] { startSpin(i); });
+    }
+
+    void
+    real()
+    {
+        log.emplace_back(eq.now(), static_cast<int>(_rng.below(1000)));
+        if (++_reals > 600)
+            return;
+        for (std::uint64_t k = _rng.below(3); k > 0; --k)
+            eq.scheduleIn(_rng.below(6), [this] { real(); });
+        if (_rng.below(3) == 0) {
+            auto i = static_cast<int>(_rng.below(6));
+            Spin &s = spins[i];
+            if (s.parked && !s.woken) {
+                s.woken = true;
+                if (_ghosts)
+                    eq.wake(&s, [this, i] { complete(i); });
+            }
+        }
+    }
+
+    bool _ghosts;
+    Tick _h;
+    Rng _rng;
+    int _reals = 0;
+};
+
+} // namespace
+
+TEST(EventQueueGhosts, ParkedChainsKeepTheUnelidedOrder)
+{
+    for (Tick period : {Tick(1), Tick(2), Tick(3)}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            for (Tick deadline : {Tick(150), Tick(401), Tick(2000)}) {
+                SpinWorld ref(false, period, seed);
+                SpinWorld ghost(true, period, seed);
+                ref.drive(deadline);
+                ghost.drive(deadline);
+                SCOPED_TRACE(testing::Message() << "period " << period
+                                                << " seed " << seed
+                                                << " deadline " << deadline);
+                ASSERT_EQ(ghost.log, ref.log);
+                EXPECT_EQ(ghost.eq.now(), ref.eq.now());
+                EXPECT_EQ(ghost.eq.eventsExecuted(),
+                          ref.eq.eventsExecuted());
+                EXPECT_GT(ghost.eq.eventsElided(), 0u);
+                for (std::size_t i = 0; i < ref.spins.size(); ++i)
+                    EXPECT_EQ(ghost.spins[i].iterations,
+                              ref.spins[i].iterations);
+            }
+        }
+    }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "stats/histogram.hh"
+#include "stats/stat_set.hh"
 
 using namespace dsm;
 
@@ -106,4 +107,42 @@ TEST(Histogram, SummaryMentionsCountAndMean)
     std::string s = h.summary();
     EXPECT_NE(s.find("n=1"), std::string::npos);
     EXPECT_NE(s.find("mean=4.00"), std::string::npos);
+}
+
+TEST(Histogram, ZeroCountAddIsANoOp)
+{
+    Histogram h;
+    h.add(3);
+    h.add(1000, 0);
+    EXPECT_EQ(h.samples(), 1u);
+    EXPECT_EQ(h.sum(), 3u);
+    EXPECT_EQ(h.max(), 3u);
+    EXPECT_EQ(h.buckets().size(), 4u);
+    EXPECT_EQ(h.percentile(1.0), 3u);
+}
+
+TEST(LatencyStat, BulkSampleEqualsRepeatedSamples)
+{
+    LatencyStat bulk, one;
+    bulk.sample(5);
+    one.sample(5);
+    bulk.sample(17, 1000);
+    for (int i = 0; i < 1000; ++i)
+        one.sample(17);
+    EXPECT_EQ(bulk.count, one.count);
+    EXPECT_EQ(bulk.sum, one.sum);
+    EXPECT_EQ(bulk.max, one.max);
+    EXPECT_EQ(bulk.dist.buckets(), one.dist.buckets());
+    EXPECT_EQ(bulk.p99(), one.p99());
+}
+
+TEST(LatencyStat, ZeroCountSampleIsANoOp)
+{
+    LatencyStat s;
+    s.sample(9);
+    s.sample(4000, 0);
+    EXPECT_EQ(s.count, 1u);
+    EXPECT_EQ(s.sum, 9u);
+    EXPECT_EQ(s.max, 9u);
+    EXPECT_EQ(s.dist.max(), 9u >> LatencyStat::BUCKET_SHIFT);
 }
