@@ -328,14 +328,12 @@ class Campaign
                   [](const Failure &a, const Failure &b) {
                       return a.index < b.index;
                   });
-        const char *dir = std::getenv("DSM_BENCH_DIR");
-        std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
         for (const Failure &f : _failures) {
-            std::string path = csprintf("%s/WATCHDOG_%s_sweep_%zu",
-                                        d.c_str(), _profile, f.index);
+            std::string file =
+                csprintf("WATCHDOG_%s_sweep_%zu", _profile, f.index);
             for (const Tag &t : f.tags)
-                path += "_" + fileLabel(t.second);
-            path += ".txt";
+                file += "_" + fileLabel(t.second);
+            std::string path = benchOutputPath(file + ".txt");
             std::ofstream out(path, std::ios::binary);
             if (out)
                 out << f.report;
@@ -687,9 +685,11 @@ openloopProfile(Campaign &c)
     // Serve through the overload-protection layer: combining keeps
     // hot-word fetch&adds O(1) in service slots and credit backpressure
     // sheds at the admission edge, which is what lets the saturation
-    // gate demand a flat curve. DSM_SERVE overrides (e.g. "0").
+    // gate demand a flat curve. DSM_SERVE overrides (e.g. "0"); an
+    // empty value counts as unset, as in the repro line.
     Config &base = c.ex.baseConfig();
-    if (std::getenv("DSM_SERVE") != nullptr)
+    const char *serve = std::getenv("DSM_SERVE");
+    if (serve != nullptr && serve[0] != '\0')
         base.serve = serveConfigFromEnv();
     else
         base.serve.enabled = true;

@@ -8,12 +8,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "cpu/system.hh"
+#include "stats/bench_report.hh"
 #include "sync/lockfree_counter.hh"
 
 using namespace dsm;
@@ -122,10 +122,8 @@ main(int argc, char **argv)
         args.push_back(argv[i]);
     }
 
-    const char *dir = std::getenv("DSM_BENCH_DIR");
-    std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-    std::string out_flag =
-        "--benchmark_out=" + d + "/BENCH_simcore_microbench.json";
+    std::string out_flag = "--benchmark_out=" +
+                           benchOutputPath("BENCH_simcore_microbench.json");
     std::string fmt_flag = "--benchmark_out_format=json";
 
     if (!has_out) {

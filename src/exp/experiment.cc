@@ -12,28 +12,6 @@
 #include "sim/logging.hh"
 #include "stats/telemetry_html.hh"
 
-namespace {
-
-/** True when $DSM_TXN_TRACE asks for transaction tracing. */
-bool
-txnTraceEnv()
-{
-    const char *v = std::getenv("DSM_TXN_TRACE");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
-/** True when $DSM_TIMESERIES asks for time-resolved telemetry. */
-bool
-timeseriesEnv()
-{
-    const char *v = std::getenv("DSM_TIMESERIES");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
-} // anonymous namespace
-
 namespace dsm {
 
 std::vector<ImplCase>
@@ -373,7 +351,7 @@ Experiment::run(int jobs)
     // returns. The Chrome pid and process name are baked in from the
     // declaration index, so a parallel run's harvest is byte-identical
     // to a serial one.
-    bool txn_on = _trace_txns || txnTraceEnv();
+    bool txn_on = _trace_txns || envOn("DSM_TXN_TRACE");
     if (txn_on && !_txn_wrapped) {
         _txn_wrapped = true;
         for (std::size_t i = 0; i < _points.size(); ++i) {
@@ -406,7 +384,7 @@ Experiment::run(int jobs)
     // wrap each point function to harvest the finalized telemetry
     // snapshot after the workload returns. Harvests are merged in
     // declaration order below, so --jobs never changes the document.
-    bool ts_on = _timeseries || timeseriesEnv();
+    bool ts_on = _timeseries || envOn("DSM_TIMESERIES");
     if (ts_on && !_ts_wrapped) {
         _ts_wrapped = true;
         for (Point &p : _points) {
@@ -508,9 +486,7 @@ Experiment::run(int jobs)
                       (unsigned long long)mismatches,
                       _results.size()));
         if (_write_report) {
-            const char *dir = std::getenv("DSM_BENCH_DIR");
-            std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-            std::string path = d + "/TRACE_" + _name + ".json";
+            std::string path = benchOutputPath("TRACE_" + _name + ".json");
             std::ofstream out(path, std::ios::binary);
             if (out) {
                 // Merge the per-point event arrays into one Chrome
@@ -566,9 +542,8 @@ Experiment::run(int jobs)
         doc += "]}";
         _timeseries_json = std::move(doc);
         if (_write_report) {
-            const char *dir = std::getenv("DSM_BENCH_DIR");
-            std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-            std::string path = d + "/TIMESERIES_" + _name + ".json";
+            std::string path =
+                benchOutputPath("TIMESERIES_" + _name + ".json");
             std::ofstream out(path, std::ios::binary);
             if (out)
                 out << _timeseries_json << '\n';
@@ -578,7 +553,8 @@ Experiment::run(int jobs)
                 _timeseries_path = path;
                 emit(csprintf("wrote %s\n", path.c_str()));
             }
-            std::string hpath = d + "/TIMESERIES_" + _name + ".html";
+            std::string hpath =
+                benchOutputPath("TIMESERIES_" + _name + ".html");
             if (writeTelemetryHtml(hpath, _timeseries_json, _name)) {
                 _timeseries_html_path = hpath;
                 emit(csprintf("wrote %s\n", hpath.c_str()));

@@ -24,6 +24,41 @@ executePoint(const Point &p)
     return r;
 }
 
+/** @p s as a positive T, read exactly; dsm_fatal naming @p what. */
+template <typename T>
+T
+positiveOrFatal(const char *what, const char *s)
+{
+    T v{};
+    if (!parseInteger(s, v) || v < 1)
+        dsm_fatal("%s must be a positive integer, got '%s'", what, s);
+    return v;
+}
+
+/**
+ * The value of "@p name V", "@p name=V" or "@p alias V" on a command
+ * line, or nullptr when the flag is absent. A flag with no value
+ * after it is fatal.
+ */
+const char *
+flagValue(int argc, char **argv, const char *name,
+          const char *alias = nullptr)
+{
+    std::size_t len = std::strlen(name);
+    for (int i = 1; i < argc; ++i) {
+        const char *a = argv[i];
+        if (std::strncmp(a, name, len) == 0 && a[len] == '=')
+            return a + len + 1;
+        if (std::strcmp(a, name) == 0 ||
+            (alias != nullptr && std::strcmp(a, alias) == 0)) {
+            if (i + 1 >= argc)
+                dsm_fatal("%s requires a value", a);
+            return argv[i + 1];
+        }
+    }
+    return nullptr;
+}
+
 } // anonymous namespace
 
 SweepRunner::SweepRunner(int jobs) : _jobs(resolveJobs(jobs))
@@ -36,14 +71,8 @@ SweepRunner::resolveJobs(int requested)
     if (requested > 0)
         return requested;
     const char *env = std::getenv("DSM_JOBS");
-    if (env != nullptr && env[0] != '\0') {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end == nullptr || *end != '\0' || v < 1)
-            dsm_fatal("DSM_JOBS must be a positive integer, got '%s'",
-                      env);
-        return static_cast<int>(v);
-    }
+    if (env != nullptr && env[0] != '\0')
+        return positiveOrFatal<int>("DSM_JOBS", env);
     return 1;
 }
 
@@ -103,69 +132,22 @@ SweepRunner::runInto(const std::vector<Point> &points,
 int
 parseJobsFlag(int argc, char **argv)
 {
-    auto parse = [](const char *s) {
-        char *end = nullptr;
-        long v = std::strtol(s, &end, 10);
-        if (end == nullptr || *end != '\0' || v < 1)
-            dsm_fatal("--jobs expects a positive integer, got '%s'", s);
-        return static_cast<int>(v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strncmp(a, "--jobs=", 7) == 0)
-            return parse(a + 7);
-        if (std::strcmp(a, "--jobs") == 0 || std::strcmp(a, "-j") == 0) {
-            if (i + 1 >= argc)
-                dsm_fatal("%s requires a value", a);
-            return parse(argv[i + 1]);
-        }
-    }
-    return 0;
+    const char *v = flagValue(argc, argv, "--jobs", "-j");
+    return v != nullptr ? positiveOrFatal<int>("--jobs", v) : 0;
 }
 
 std::uint64_t
 parseSeedFlag(int argc, char **argv)
 {
-    auto parse = [](const char *s) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(s, &end, 10);
-        if (end == s || *end != '\0' || v == 0)
-            dsm_fatal("--seed expects a positive integer, got '%s'", s);
-        return static_cast<std::uint64_t>(v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strncmp(a, "--seed=", 7) == 0)
-            return parse(a + 7);
-        if (std::strcmp(a, "--seed") == 0) {
-            if (i + 1 >= argc)
-                dsm_fatal("--seed requires a value");
-            return parse(argv[i + 1]);
-        }
-    }
-    return 0;
+    const char *v = flagValue(argc, argv, "--seed");
+    return v != nullptr ? positiveOrFatal<std::uint64_t>("--seed", v) : 0;
 }
 
 int
 parseSeedsFlag(int argc, char **argv, int fallback)
 {
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *v = nullptr;
-        if (std::strncmp(a, "--seeds=", 8) == 0)
-            v = a + 8;
-        else if (std::strcmp(a, "--seeds") == 0 && i + 1 < argc)
-            v = argv[i + 1];
-        if (v != nullptr) {
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 1)
-                dsm_fatal("--seeds expects a positive integer, got "
-                          "'%s'", v);
-            return static_cast<int>(n);
-        }
-    }
-    return fallback;
+    const char *v = flagValue(argc, argv, "--seeds");
+    return v != nullptr ? positiveOrFatal<int>("--seeds", v) : fallback;
 }
 
 std::uint64_t
@@ -174,11 +156,7 @@ seedFromEnv()
     const char *s = std::getenv("DSM_SEED");
     if (s == nullptr || *s == '\0')
         return 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || v == 0)
-        dsm_fatal("DSM_SEED must be a positive integer, got '%s'", s);
-    return static_cast<std::uint64_t>(v);
+    return positiveOrFatal<std::uint64_t>("DSM_SEED", s);
 }
 
 } // namespace dsm

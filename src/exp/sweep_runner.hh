@@ -127,7 +127,9 @@ class SweepRunner
 /**
  * Extract a "--jobs N" / "--jobs=N" / "-j N" flag from a bench binary's
  * command line. @return the value, or 0 if no flag is present (meaning:
- * fall back to $DSM_JOBS). dsm_fatal on a malformed value.
+ * fall back to $DSM_JOBS). dsm_fatal on a missing value or one that is
+ * not a positive int, read exactly (parseInteger); the same holds for
+ * the flags and variables below.
  */
 int parseJobsFlag(int argc, char **argv);
 
@@ -143,7 +145,7 @@ std::uint64_t parseSeedFlag(int argc, char **argv);
  * Extract a "--seeds K" / "--seeds=K" flag (the number of consecutive
  * machine seeds a campaign runs per point) from a bench binary's
  * command line. @return the value, or @p fallback if no flag is
- * present. dsm_fatal on a malformed or non-positive value.
+ * present. dsm_fatal on a missing, malformed or non-positive value.
  */
 int parseSeedsFlag(int argc, char **argv, int fallback);
 

@@ -228,133 +228,15 @@ FaultPlan::corruptMessage(Msg &m)
     return true;
 }
 
-std::string
-FaultConfig::parse(const std::string &spec)
-{
-    if (spec == "1" || spec == "on" || spec == "default") {
-        // The standard campaign mix: frequent-but-bounded jitter plus
-        // occasional reservation drops, evictions, and NACK storms.
-        enabled = true;
-        msg_jitter_prob = 0.2;
-        msg_jitter_max = 64;
-        resv_drop_prob = 0.05;
-        evict_prob = 0.02;
-        nack_prob = 0.1;
-        max_extra_nacks = 4;
-        return "";
-    }
-
-    FaultConfig out;
-    out.enabled = true;
-    std::string err = parseSpecItems(
-        spec, "fault", [&](const std::string &key, double d) {
-            if (key == "jitter_prob")
-                out.msg_jitter_prob = d;
-            else if (key == "jitter_max")
-                out.msg_jitter_max = static_cast<Tick>(d);
-            else if (key == "resv_drop_prob")
-                out.resv_drop_prob = d;
-            else if (key == "evict_prob")
-                out.evict_prob = d;
-            else if (key == "nack_prob")
-                out.nack_prob = d;
-            else if (key == "max_extra_nacks")
-                out.max_extra_nacks = static_cast<int>(d);
-            else if (key == "seed")
-                out.seed = static_cast<std::uint64_t>(d);
-            else if (key == "drop_prob")
-                out.msg_drop_prob = d;
-            else if (key == "flaky_links")
-                out.flaky_links = static_cast<int>(d);
-            else if (key == "flaky_window")
-                out.flaky_window = static_cast<Tick>(d);
-            else if (key == "flaky_duration")
-                out.flaky_duration = static_cast<Tick>(d);
-            else if (key == "flaky_drop_prob")
-                out.flaky_drop_prob = d;
-            else if (key == "req_timeout")
-                out.req_timeout = static_cast<Tick>(d);
-            else if (key == "quarantine_k")
-                out.quarantine_k = static_cast<int>(d);
-            else if (key == "quarantine_window")
-                out.quarantine_window = static_cast<Tick>(d);
-            else if (key == "reorder_prob")
-                out.reorder_prob = d;
-            else if (key == "reorder_max")
-                out.reorder_max = static_cast<Tick>(d);
-            else if (key == "dup_prob")
-                out.dup_prob = d;
-            else if (key == "dup_delay")
-                out.dup_delay = static_cast<Tick>(d);
-            else if (key == "corrupt_prob")
-                out.corrupt_prob = d;
-            else if (key == "resv_max_age")
-                out.resv_max_age = static_cast<Tick>(d);
-            else
-                return false;
-            return true;
-        });
-    if (!err.empty())
-        return err;
-    *this = out;
-    return "";
-}
-
-std::string
-FaultConfig::summary() const
-{
-    std::string s =
-        csprintf("seed=%llu,jitter_prob=%g,jitter_max=%llu,"
-                 "resv_drop_prob=%g,evict_prob=%g,nack_prob=%g,"
-                 "max_extra_nacks=%d",
-                 (unsigned long long)seed, msg_jitter_prob,
-                 (unsigned long long)msg_jitter_max, resv_drop_prob,
-                 evict_prob, nack_prob, max_extra_nacks);
-    // Loss/recovery keys appear only when armed, so summaries of
-    // pre-existing loss-free specs stay byte-identical.
-    if (lossEnabled() || recoveryEnabled()) {
-        s += csprintf(",drop_prob=%g,flaky_links=%d,flaky_window=%llu,"
-                      "flaky_duration=%llu,flaky_drop_prob=%g,"
-                      "req_timeout=%llu,quarantine_k=%d,"
-                      "quarantine_window=%llu",
-                      msg_drop_prob, flaky_links,
-                      (unsigned long long)flaky_window,
-                      (unsigned long long)flaky_duration,
-                      flaky_drop_prob, (unsigned long long)req_timeout,
-                      quarantine_k,
-                      (unsigned long long)quarantine_window);
-    }
-    // Faulty-channel keys likewise appear only when a chaos axis is
-    // armed, keeping pre-existing summaries byte-identical.
-    if (chaosEnabled()) {
-        s += csprintf(",reorder_prob=%g,reorder_max=%llu,dup_prob=%g,"
-                      "dup_delay=%llu,corrupt_prob=%g",
-                      reorder_prob, (unsigned long long)reorder_max,
-                      dup_prob, (unsigned long long)dup_delay,
-                      corrupt_prob);
-    }
-    if (resv_max_age != 0)
-        s += csprintf(",resv_max_age=%llu",
-                      (unsigned long long)resv_max_age);
-    return s;
-}
-
 FaultConfig
 faultConfigFromEnv()
 {
-    FaultConfig fc;
-    auto parse = [&](const std::string &spec) { return fc.parse(spec); };
-    if (!parseSpecEnv("DSM_FAULTS", parse))
-        return fc;
+    FaultConfig fc = specConfigFromEnv<FaultConfig>("DSM_FAULTS");
     const char *seed = std::getenv("DSM_FAULT_SEED");
-    if (seed != nullptr && *seed != '\0') {
-        char *end = nullptr;
-        unsigned long long s = std::strtoull(seed, &end, 10);
-        if (end == seed || *end != '\0')
-            dsm_fatal("DSM_FAULT_SEED must be an integer, got '%s'",
-                      seed);
-        fc.seed = s;
-    }
+    if (fc.enabled && seed != nullptr && *seed != '\0' &&
+        !parseInteger(seed, fc.seed))
+        dsm_fatal("DSM_FAULT_SEED must be an integer in [0, "
+                  "18446744073709551615], got '%s'", seed);
     return fc;
 }
 

@@ -203,9 +203,9 @@ class FaultPlan
 
 /**
  * Build a FaultConfig from the environment: DSM_FAULTS holds a
- * FaultConfig::parse spec ("1" for the default mix), DSM_FAULT_SEED
- * overrides the fault seed. Returns a disabled config when DSM_FAULTS
- * is unset or "0"; dsm_fatal on a malformed spec.
+ * FaultConfig::parse spec ("1" for the default mix), read by
+ * specConfigFromEnv; when it is on, DSM_FAULT_SEED (an exact unsigned
+ * integer) overrides the fault seed. dsm_fatal on a malformed value.
  */
 FaultConfig faultConfigFromEnv();
 

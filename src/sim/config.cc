@@ -1,6 +1,12 @@
 #include "sim/config.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <variant>
+#include <vector>
 
 #include "sim/logging.hh"
 
@@ -52,176 +58,284 @@ SyncConfig::label() const
     return s;
 }
 
-std::string
-parseSpecItems(
-    const std::string &spec, const char *what,
-    const std::function<bool(const std::string &key, double v)> &set,
-    const std::function<bool(const std::string &key,
-                             const std::string &val)> &word)
+namespace {
+
+/** Read all of @p s as a T (std::from_chars: no space, no '+'). */
+template <typename T>
+bool
+readExact(std::string_view s, T &out)
 {
+    T v{};
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    out = v;
+    return true;
+}
+
+/**
+ * The spec value readers, one per field type: "" on success, else
+ * what the value should have been.
+ */
+template <typename T>
+std::string
+readValue(const std::string &s, T &out)
+{
+    if (readExact(s, out))
+        return "";
+    return csprintf("an integer in [%lld, %llu]",
+                    (long long)std::numeric_limits<T>::min(),
+                    (unsigned long long)std::numeric_limits<T>::max());
+}
+
+std::string
+readValue(const std::string &s, bool &out)
+{
+    if (s != "0" && s != "1")
+        return "0 or 1";
+    out = s == "1";
+    return "";
+}
+
+std::string
+readValue(const std::string &s, double &out)
+{
+    double v = 0.0;
+    if (!readExact(s, v))
+        return "a number";
+    if (!std::isfinite(v))
+        return "a finite number";
+    out = v;
+    return "";
+}
+
+/** Flags print as 0/1, integers in full. */
+template <typename T>
+std::string
+showValue(T v)
+{
+    return std::to_string(v);
+}
+
+/** %g, widened only as far as reading it back needs. */
+std::string
+showValue(double v)
+{
+    std::string s;
+    for (int prec = 6; prec <= 17; ++prec) {
+        s = csprintf("%.*g", prec, v);
+        if (std::strtod(s.c_str(), nullptr) == v)
+            break;
+    }
+    return s;
+}
+
+/** One key of a spec grammar: the member it sets and how it prints. */
+template <typename C>
+struct SpecField
+{
+    const char *key;
+    std::variant<bool C::*, int C::*, std::uint64_t C::*, double C::*>
+        member;
+    /** summary() prints the key only when this holds (null: always). */
+    bool (*shown)(const C &) = nullptr;
+    /** A word the key also takes, and the flag the word sets. */
+    const char *word = nullptr;
+    bool C::*word_flag = nullptr;
+};
+
+/** One struct's spec grammar: its error noun, preset and field table. */
+template <typename C>
+struct SpecGrammar
+{
+    const char *what;
+    /** The items "1", "on" and "default" stand for. */
+    const char *preset;
+    std::vector<SpecField<C>> fields;
+};
+
+template <typename C>
+std::string
+parseSpec(const SpecGrammar<C> &g, const std::string &spec, C &cfg)
+{
+    bool preset = spec == "1" || spec == "on" || spec == "default";
+    const std::string items = preset ? g.preset : spec;
+    C out;
+    out.enabled = true;
     std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
+    while (pos < items.size()) {
+        std::size_t comma = items.find(',', pos);
         if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
+            comma = items.size();
+        std::string item = items.substr(pos, comma - pos);
         pos = comma + 1;
         if (item.empty())
             continue;
         std::size_t eq = item.find('=');
         if (eq == std::string::npos)
-            return csprintf("%s spec item '%s' is not key=value", what,
+            return csprintf("%s spec item '%s' is not key=value", g.what,
                             item.c_str());
         std::string key = item.substr(0, eq);
         std::string val = item.substr(eq + 1);
-        if (word && word(key, val))
-            continue;
-        char *end = nullptr;
-        double d = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            return csprintf("%s spec value '%s' for '%s' is not a number",
-                            what, val.c_str(), key.c_str());
-        if (!set(key, d))
-            return csprintf("unknown %s spec key '%s'", what, key.c_str());
+        auto f = std::find_if(
+            g.fields.begin(), g.fields.end(),
+            [&](const SpecField<C> &sf) { return key == sf.key; });
+        if (f == g.fields.end()) {
+            std::string keys;
+            for (const SpecField<C> &sf : g.fields)
+                keys += (keys.empty() ? "" : ", ") + std::string(sf.key);
+            return csprintf("unknown %s spec key '%s' (keys: %s)", g.what,
+                            key.c_str(), keys.c_str());
+        }
+        if (f->word_flag != nullptr) {
+            out.*f->word_flag = val == f->word;
+            if (out.*f->word_flag)
+                continue;
+        }
+        std::string want = std::visit(
+            [&](auto m) { return readValue(val, out.*m); }, f->member);
+        if (!want.empty())
+            return csprintf("%s spec value '%s' for '%s' is not %s",
+                            g.what, val.c_str(), key.c_str(),
+                            want.c_str());
     }
+    cfg = out;
     return "";
 }
 
-bool
-parseSpecEnv(const char *var,
-             const std::function<std::string(const std::string &)> &parse)
+template <typename C>
+std::string
+specSummary(const SpecGrammar<C> &g, const C &cfg)
 {
-    const char *spec = std::getenv(var);
-    if (spec == nullptr || *spec == '\0' || std::string(spec) == "0")
-        return false;
-    std::string err = parse(spec);
-    if (!err.empty())
-        dsm_fatal("%s: %s", var, err.c_str());
-    return true;
+    std::string s;
+    for (const SpecField<C> &f : g.fields) {
+        if (f.shown != nullptr && !f.shown(cfg))
+            continue;
+        s += (s.empty() ? "" : ",") + std::string(f.key) + "=";
+        if (f.word_flag != nullptr && cfg.*f.word_flag)
+            s += f.word;
+        else
+            s += std::visit([&](auto m) { return showValue(cfg.*m); },
+                            f.member);
+    }
+    return s;
+}
+
+using OL = OpenLoopConfig;
+const SpecGrammar<OL> OPENLOOP_SPEC{
+    "openloop",
+    // A mid-load default: well below saturation for every impl at the
+    // 16-proc sweep shape, so smoke runs finish quickly.
+    "rate=0.001",
+    {
+        {"rate", &OL::rate_ppc},
+        {"burst", &OL::burst},
+        {"queue_cap", &OL::queue_cap},
+        {"slo_cycles", &OL::slo_cycles},
+        {"ops_per_proc", &OL::ops_per_proc},
+    }};
+
+using SV = ServeConfig;
+const SpecGrammar<SV> SERVE_SPEC{
+    "serve",
+    "",
+    {
+        {"combining", &SV::combining},
+        {"combine_limit", &SV::combine_limit},
+        {"backpressure", &SV::backpressure},
+        {"credit_threshold", &SV::credit_threshold, nullptr, "auto",
+         &SV::credit_auto},
+        {"priority", &SV::priority},
+        {"age_limit", &SV::age_limit},
+        {"nack_backoff", &SV::nack_backoff},
+        {"backoff_cap", &SV::backoff_cap},
+    }};
+
+// The loss/recovery and chaos groups (and resv_max_age) appear in a
+// summary only when armed, so summaries of specs that predate them
+// stay byte-identical.
+using FC = FaultConfig;
+bool lossShown(const FC &f) { return f.lossEnabled() || f.recoveryEnabled(); }
+bool chaosShown(const FC &f) { return f.chaosEnabled(); }
+bool ageShown(const FC &f) { return f.resv_max_age != 0; }
+
+const SpecGrammar<FC> FAULT_SPEC{
+    "fault",
+    "jitter_prob=0.2,jitter_max=64,resv_drop_prob=0.05,evict_prob=0.02,"
+    "nack_prob=0.1,max_extra_nacks=4",
+    {
+        {"seed", &FC::seed},
+        {"jitter_prob", &FC::msg_jitter_prob},
+        {"jitter_max", &FC::msg_jitter_max},
+        {"resv_drop_prob", &FC::resv_drop_prob},
+        {"evict_prob", &FC::evict_prob},
+        {"nack_prob", &FC::nack_prob},
+        {"max_extra_nacks", &FC::max_extra_nacks},
+        {"drop_prob", &FC::msg_drop_prob, lossShown},
+        {"flaky_links", &FC::flaky_links, lossShown},
+        {"flaky_window", &FC::flaky_window, lossShown},
+        {"flaky_duration", &FC::flaky_duration, lossShown},
+        {"flaky_drop_prob", &FC::flaky_drop_prob, lossShown},
+        {"req_timeout", &FC::req_timeout, lossShown},
+        {"quarantine_k", &FC::quarantine_k, lossShown},
+        {"quarantine_window", &FC::quarantine_window, lossShown},
+        {"reorder_prob", &FC::reorder_prob, chaosShown},
+        {"reorder_max", &FC::reorder_max, chaosShown},
+        {"dup_prob", &FC::dup_prob, chaosShown},
+        {"dup_delay", &FC::dup_delay, chaosShown},
+        {"corrupt_prob", &FC::corrupt_prob, chaosShown},
+        {"resv_max_age", &FC::resv_max_age, ageShown},
+    }};
+
+} // anonymous namespace
+
+bool
+parseInteger(std::string_view s, int &out)
+{
+    return readExact(s, out);
+}
+
+bool
+parseInteger(std::string_view s, std::uint64_t &out)
+{
+    return readExact(s, out);
 }
 
 std::string
 OpenLoopConfig::parse(const std::string &spec)
 {
-    if (spec == "1" || spec == "on" || spec == "default") {
-        // A mid-load default: well below saturation for every impl at
-        // the 16-proc sweep shape, so smoke runs finish quickly.
-        *this = OpenLoopConfig();
-        enabled = true;
-        rate_ppc = 0.001;
-        return "";
-    }
-
-    OpenLoopConfig out;
-    out.enabled = true;
-    std::string err = parseSpecItems(
-        spec, "openloop", [&](const std::string &key, double d) {
-            if (key == "rate")
-                out.rate_ppc = d;
-            else if (key == "burst")
-                out.burst = static_cast<int>(d);
-            else if (key == "queue_cap")
-                out.queue_cap = static_cast<int>(d);
-            else if (key == "slo_cycles")
-                out.slo_cycles = static_cast<Tick>(d);
-            else if (key == "ops_per_proc")
-                out.ops_per_proc = static_cast<int>(d);
-            else
-                return false;
-            return true;
-        });
-    if (!err.empty())
-        return err;
-    *this = out;
-    return "";
+    return parseSpec(OPENLOOP_SPEC, spec, *this);
 }
 
 std::string
 OpenLoopConfig::summary() const
 {
-    return csprintf("rate=%g,burst=%d,queue_cap=%d,slo_cycles=%llu,"
-                    "ops_per_proc=%d",
-                    rate_ppc, burst, queue_cap,
-                    (unsigned long long)slo_cycles, ops_per_proc);
-}
-
-OpenLoopConfig
-openLoopConfigFromEnv()
-{
-    OpenLoopConfig ol;
-    parseSpecEnv("DSM_OPENLOOP",
-                 [&](const std::string &spec) { return ol.parse(spec); });
-    return ol;
+    return specSummary(OPENLOOP_SPEC, *this);
 }
 
 std::string
 ServeConfig::parse(const std::string &spec)
 {
-    if (spec == "1" || spec == "on" || spec == "default") {
-        *this = ServeConfig();
-        enabled = true;
-        return "";
-    }
-
-    ServeConfig out;
-    out.enabled = true;
-    std::string err = parseSpecItems(
-        spec, "serve",
-        [&](const std::string &key, double d) {
-            if (key == "combining")
-                out.combining = d != 0.0;
-            else if (key == "combine_limit")
-                out.combine_limit = static_cast<int>(d);
-            else if (key == "backpressure")
-                out.backpressure = d != 0.0;
-            else if (key == "credit_threshold")
-                out.credit_threshold = static_cast<int>(d);
-            else if (key == "priority")
-                out.priority = d != 0.0;
-            else if (key == "age_limit")
-                out.age_limit = static_cast<Tick>(d);
-            else if (key == "nack_backoff")
-                out.nack_backoff = d != 0.0;
-            else if (key == "backoff_cap")
-                out.backoff_cap = static_cast<int>(d);
-            else
-                return false;
-            return true;
-        },
-        [&](const std::string &key, const std::string &val) {
-            if (key != "credit_threshold" || val != "auto")
-                return false;
-            out.credit_auto = true;
-            return true;
-        });
-    if (!err.empty())
-        return err;
-    *this = out;
-    return "";
+    return parseSpec(SERVE_SPEC, spec, *this);
 }
 
 std::string
 ServeConfig::summary() const
 {
-    std::string threshold = credit_auto
-                                ? "auto"
-                                : csprintf("%d", credit_threshold);
-    return csprintf("combining=%d,combine_limit=%d,backpressure=%d,"
-                    "credit_threshold=%s,priority=%d,age_limit=%llu,"
-                    "nack_backoff=%d,backoff_cap=%d",
-                    combining ? 1 : 0, combine_limit,
-                    backpressure ? 1 : 0, threshold.c_str(),
-                    priority ? 1 : 0, (unsigned long long)age_limit,
-                    nack_backoff ? 1 : 0, backoff_cap);
+    return specSummary(SERVE_SPEC, *this);
 }
 
-ServeConfig
-serveConfigFromEnv()
+std::string
+FaultConfig::parse(const std::string &spec)
 {
-    ServeConfig sv;
-    parseSpecEnv("DSM_SERVE",
-                 [&](const std::string &spec) { return sv.parse(spec); });
-    return sv;
+    return parseSpec(FAULT_SPEC, spec, *this);
+}
+
+std::string
+FaultConfig::summary() const
+{
+    return specSummary(FAULT_SPEC, *this);
 }
 
 void
@@ -338,9 +452,15 @@ Config::validate() const
         { "faults.resv_drop_prob", f.resv_drop_prob },
         { "faults.evict_prob", f.evict_prob },
         { "faults.nack_prob", f.nack_prob },
+        { "faults.msg_drop_prob", f.msg_drop_prob },
+        { "faults.flaky_drop_prob", f.flaky_drop_prob },
+        { "faults.reorder_prob", f.reorder_prob },
+        { "faults.dup_prob", f.dup_prob },
+        { "faults.corrupt_prob", f.corrupt_prob },
     };
     for (const auto &p : probs) {
-        if (p.v < 0.0 || p.v > 1.0)
+        // Written so that a NaN fails too.
+        if (!(p.v >= 0.0 && p.v <= 1.0))
             return csprintf("%s must be in [0, 1], got %g", p.name, p.v);
     }
     if (f.enabled && f.msg_jitter_prob > 0.0 && f.msg_jitter_max == 0)
@@ -354,12 +474,6 @@ Config::validate() const
     if (f.max_extra_nacks < 0)
         return csprintf("faults.max_extra_nacks must be >= 0, got %d",
                         f.max_extra_nacks);
-    if (f.msg_drop_prob < 0.0 || f.msg_drop_prob > 1.0)
-        return csprintf("faults.msg_drop_prob must be in [0, 1], got %g",
-                        f.msg_drop_prob);
-    if (f.flaky_drop_prob < 0.0 || f.flaky_drop_prob > 1.0)
-        return csprintf("faults.flaky_drop_prob must be in [0, 1], "
-                        "got %g", f.flaky_drop_prob);
     if (f.flaky_links < 0)
         return csprintf("faults.flaky_links must be >= 0, got %d",
                         f.flaky_links);
@@ -377,15 +491,6 @@ Config::validate() const
     if (f.quarantine_k > 0 && f.quarantine_window == 0)
         return "faults.quarantine_window must be nonzero when "
                "faults.quarantine_k > 0";
-    struct { const char *name; double v; } chaos_probs[] = {
-        { "faults.reorder_prob", f.reorder_prob },
-        { "faults.dup_prob", f.dup_prob },
-        { "faults.corrupt_prob", f.corrupt_prob },
-    };
-    for (const auto &p : chaos_probs) {
-        if (p.v < 0.0 || p.v > 1.0)
-            return csprintf("%s must be in [0, 1], got %g", p.name, p.v);
-    }
     if (f.enabled && f.reorder_prob > 0.0 && f.reorder_max == 0)
         return "faults.reorder_max must be nonzero when "
                "faults.reorder_prob > 0";

@@ -7,9 +7,11 @@
 #ifndef DSM_SIM_CONFIG_HH
 #define DSM_SIM_CONFIG_HH
 
-#include <functional>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace dsm {
@@ -204,29 +206,54 @@ struct TelemetryConfig
 };
 
 /**
- * The key=value grammar shared by the fault, open-loop and serve specs:
- * comma-separated items, empty items skipped, every value a number.
- * @p word, when given, may first claim an item whose value is a word
- * (e.g. credit_threshold=auto) by returning true. @p set stores one
- * numeric field and returns false for an unknown key.
+ * @name The key=value spec grammar of OpenLoopConfig, ServeConfig and
+ * FaultConfig (DSM_OPENLOOP, DSM_SERVE, DSM_FAULTS).
  *
- * @return "" on success, otherwise an error naming the "<what> spec".
+ * A spec is "1", "on" or "default", which applies the struct's preset
+ * to a fresh config, or comma-separated key=value items applied to a
+ * fresh config; either way the result is enabled. Each struct's keys
+ * are one field table in sim/config.cc, and an unknown key's error
+ * lists them. A value is read by its field's type: integers exactly
+ * (parseInteger), flags as 0 or 1, reals as finite numbers; a key may
+ * also take one word (credit_threshold=auto). summary() prints every
+ * shown key in table order, reals with %g widened only where %g does
+ * not read back to the same double, so parse(summary()) restores
+ * every shown field exactly.
+ * @{
  */
-std::string parseSpecItems(
-    const std::string &spec, const char *what,
-    const std::function<bool(const std::string &key, double v)> &set,
-    const std::function<bool(const std::string &key,
-                             const std::string &val)> &word = {});
+
+/**
+ * Read @p s as a decimal integer, exactly: the whole string, no
+ * fraction, exponent or leading '+', no sign on an unsigned type, and
+ * in the type's range. The one integer reader behind the key=value
+ * specs, the bench flags and the integer environment variables.
+ *
+ * @return false, leaving @p out unchanged, when @p s is not such an
+ *         integer.
+ */
+bool parseInteger(std::string_view s, int &out);
+bool parseInteger(std::string_view s, std::uint64_t &out);
 
 /**
  * The environment rule shared by $DSM_FAULTS, $DSM_OPENLOOP and
- * $DSM_SERVE: unset, empty, or "0" means off (returns false);
- * otherwise @p parse must accept the spec, else a fatal
+ * $DSM_SERVE: unset, empty or "0" leaves the returned config disabled;
+ * otherwise C::parse must accept the spec, else a fatal
  * "<var>: <error>".
  */
-bool parseSpecEnv(const char *var,
-                  const std::function<std::string(const std::string &)>
-                      &parse);
+template <typename C>
+C
+specConfigFromEnv(const char *var)
+{
+    C cfg;
+    if (envOn(var)) {
+        std::string err = cfg.parse(std::getenv(var));
+        if (!err.empty())
+            dsm_fatal("%s: %s", var, err.c_str());
+    }
+    return cfg;
+}
+
+/** @} */
 
 /**
  * Open-loop arrival configuration (workloads/openloop.hh). Off by
@@ -260,24 +287,23 @@ struct OpenLoopConfig
     int ops_per_proc = 256;
 
     /**
-     * Parse a DSM_OPENLOOP-style spec into this config. "1"/"on"/
-     * "default" enables the defaults above with rate=0.001; otherwise
-     * a comma-separated key=value list (rate, burst, queue_cap,
-     * slo_cycles, ops_per_proc).
+     * Parse a DSM_OPENLOOP spec (the spec grammar above). The preset
+     * is the defaults above with rate=0.001.
      *
-     * @return "" on success, otherwise a descriptive error.
+     * @return "" on success, otherwise an error naming key and value.
      */
     std::string parse(const std::string &spec);
 
-    /** Canonical key=value spec string (inverse of parse). */
+    /** The canonical spec: parse(summary()) restores every shown key. */
     std::string summary() const;
 };
 
-/**
- * Read $DSM_OPENLOOP into an OpenLoopConfig. Unset, empty, or "0"
- * leaves it disabled; a bad spec is a fatal user error.
- */
-OpenLoopConfig openLoopConfigFromEnv();
+/** $DSM_OPENLOOP as an OpenLoopConfig (specConfigFromEnv). */
+inline OpenLoopConfig
+openLoopConfigFromEnv()
+{
+    return specConfigFromEnv<OpenLoopConfig>("DSM_OPENLOOP");
+}
 
 /**
  * Overload-protection configuration (mem/home_queue.hh and the serving
@@ -340,25 +366,23 @@ struct ServeConfig
     int backoff_cap = 10;
 
     /**
-     * Parse a DSM_SERVE-style spec into this config. "1"/"on"/
-     * "default" enables all four mechanisms with the defaults above;
-     * otherwise a comma-separated key=value list (combining,
-     * combine_limit, backpressure, credit_threshold, priority,
-     * age_limit, nack_backoff, backoff_cap).
+     * Parse a DSM_SERVE spec (the spec grammar above). The preset
+     * enables all four mechanisms with the defaults above.
      *
-     * @return "" on success, otherwise a descriptive error.
+     * @return "" on success, otherwise an error naming key and value.
      */
     std::string parse(const std::string &spec);
 
-    /** Canonical key=value spec string (inverse of parse). */
+    /** The canonical spec: parse(summary()) restores every shown key. */
     std::string summary() const;
 };
 
-/**
- * Read $DSM_SERVE into a ServeConfig. Unset, empty, or "0" leaves it
- * disabled; a bad spec is a fatal user error.
- */
-ServeConfig serveConfigFromEnv();
+/** $DSM_SERVE as a ServeConfig (specConfigFromEnv). */
+inline ServeConfig
+serveConfigFromEnv()
+{
+    return specConfigFromEnv<ServeConfig>("DSM_SERVE");
+}
 
 /**
  * Upper bound on FaultConfig::msg_jitter_max: keeps injected delays far
@@ -502,19 +526,17 @@ struct FaultConfig
     bool reorderPossible() const { return enabled && reorder_prob > 0.0; }
 
     /**
-     * Parse a DSM_FAULTS-style spec into this config. "1"/"on"/
-     * "default" enables a standard mix; otherwise a comma-separated
-     * key=value list (jitter_prob, jitter_max, resv_drop_prob,
-     * evict_prob, nack_prob, max_extra_nacks, seed, drop_prob,
-     * flaky_links, flaky_window, flaky_duration, flaky_drop_prob,
-     * req_timeout, quarantine_k, quarantine_window, reorder_prob,
-     * reorder_max, dup_prob, dup_delay, corrupt_prob, resv_max_age).
+     * Parse a DSM_FAULTS spec (the spec grammar above). The preset is
+     * the standard campaign mix: jitter, reservation drops, evictions
+     * and NACK storms. summary() shows the loss/recovery and chaos
+     * keys only when that group is armed, and resv_max_age only when
+     * nonzero.
      *
-     * @return "" on success, otherwise a descriptive error.
+     * @return "" on success, otherwise an error naming key and value.
      */
     std::string parse(const std::string &spec);
 
-    /** Canonical key=value spec string (inverse of parse). */
+    /** The canonical spec: parse(summary()) restores every shown key. */
     std::string summary() const;
 };
 

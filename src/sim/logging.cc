@@ -23,15 +23,15 @@ csprintf(const char *fmt, ...)
     return out;
 }
 
-namespace {
-
 bool
-envQuiet()
+envOn(const char *var)
 {
-    const char *v = std::getenv("DSM_QUIET");
+    const char *v = std::getenv(var);
     return v != nullptr && v[0] != '\0' &&
            !(v[0] == '0' && v[1] == '\0');
 }
+
+namespace {
 
 // -1 = follow DSM_QUIET; 0/1 = explicit programmatic override.
 int quiet_override = -1;
@@ -47,7 +47,7 @@ setLogQuiet(bool quiet)
 bool
 logQuiet()
 {
-    return quiet_override >= 0 ? quiet_override != 0 : envQuiet();
+    return quiet_override >= 0 ? quiet_override != 0 : envOn("DSM_QUIET");
 }
 
 void

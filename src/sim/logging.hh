@@ -24,12 +24,18 @@ void logMessage(const char *level, const std::string &msg);
  * Suppress (or restore) info/warn output. Quiet mode keeps stderr clean
  * for scripted bench runs whose real product is BENCH_*.json; panic and
  * fatal always print. Also enabled by the DSM_QUIET environment
- * variable (any non-empty value other than "0").
+ * variable (envOn).
  */
 void setLogQuiet(bool quiet);
 
 /** Current quiet state (programmatic setting or DSM_QUIET). */
 bool logQuiet();
+
+/**
+ * The on/off rule of every DSM_* switch: true unless $@p var is unset,
+ * empty, or "0".
+ */
+bool envOn(const char *var);
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);

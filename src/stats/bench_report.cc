@@ -248,11 +248,17 @@ BenchReport::toJson() const
 }
 
 std::string
-BenchReport::outputPath() const
+benchOutputPath(const std::string &file)
 {
     const char *dir = std::getenv("DSM_BENCH_DIR");
-    std::string d = dir != nullptr && dir[0] != '\0' ? dir : ".";
-    return d + "/BENCH_" + _name + ".json";
+    return std::string(dir != nullptr && dir[0] != '\0' ? dir : ".") +
+           "/" + file;
+}
+
+std::string
+BenchReport::outputPath() const
+{
+    return benchOutputPath("BENCH_" + _name + ".json");
 }
 
 std::string

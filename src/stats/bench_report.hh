@@ -72,9 +72,15 @@ class BenchRow
 };
 
 /**
- * Accumulates rows for one bench binary and writes BENCH_<name>.json.
- * The output directory comes from $DSM_BENCH_DIR (default: the current
- * working directory).
+ * Where a bench binary's output file @p file goes: under
+ * $DSM_BENCH_DIR, or under "." when the variable is unset or empty.
+ * Every report, trace, telemetry and failure-dump file follows it.
+ */
+std::string benchOutputPath(const std::string &file);
+
+/**
+ * Accumulates rows for one bench binary and writes BENCH_<name>.json
+ * to benchOutputPath().
  */
 class BenchReport
 {

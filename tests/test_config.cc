@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/config.hh"
 
 using namespace dsm;
@@ -164,6 +166,15 @@ TEST(ConfigValidate, ReportsFaultProbabilityRange)
     cfg.faults.nack_prob = 1.01;
     EXPECT_EQ(cfg.validate(),
               "faults.nack_prob must be in [0, 1], got 1.01");
+    cfg.faults.nack_prob = 0.0;
+    // One check covers all nine, and a NaN set in code fails it too.
+    cfg.faults.corrupt_prob = std::nan("");
+    EXPECT_EQ(cfg.validate(),
+              "faults.corrupt_prob must be in [0, 1], got nan");
+    cfg.faults.corrupt_prob = 0.0;
+    cfg.faults.flaky_drop_prob = -std::nan("");
+    EXPECT_EQ(cfg.validate(),
+              "faults.flaky_drop_prob must be in [0, 1], got -nan");
 }
 
 TEST(ConfigValidate, ReportsJitterBoundDefects)

@@ -15,6 +15,7 @@
 
 #include "cpu/system.hh"
 #include "exp/experiment.hh"
+#include "fault/fault.hh"
 #include "workloads/counter_apps.hh"
 
 using namespace dsm;
@@ -246,6 +247,57 @@ TEST(SweepRunner, ParseSeedsFlagForms)
     EXPECT_EQ(parseSeedsFlag(4, const_cast<char **>(a2), 5), 3);
     const char *a3[] = {"bench", "--seed", "9"};
     EXPECT_EQ(parseSeedsFlag(3, const_cast<char **>(a3), 5), 5);
+
+    const char *a4[] = {"bench", "-j", "3", "--seed=18446744073709551615"};
+    EXPECT_EQ(parseJobsFlag(4, const_cast<char **>(a4)), 3);
+    EXPECT_EQ(parseSeedFlag(4, const_cast<char **>(a4)),
+              18446744073709551615ULL);
+
+    // Every value is read exactly: no wrap through int, no sign on a
+    // seed, and a trailing flag without its value is an error.
+    const char *big_jobs[] = {"bench", "--jobs", "4294967297"};
+    EXPECT_EXIT(parseJobsFlag(3, const_cast<char **>(big_jobs)),
+                testing::ExitedWithCode(1),
+                "--jobs must be a positive integer, got '4294967297'");
+    const char *big_seeds[] = {"bench", "--seeds=4294967297"};
+    EXPECT_EXIT(parseSeedsFlag(2, const_cast<char **>(big_seeds), 5),
+                testing::ExitedWithCode(1),
+                "--seeds must be a positive integer, got '4294967297'");
+    const char *no_seeds[] = {"bench", "--seeds"};
+    EXPECT_EXIT(parseSeedsFlag(2, const_cast<char **>(no_seeds), 5),
+                testing::ExitedWithCode(1), "--seeds requires a value");
+    const char *neg_seed[] = {"bench", "--seed", "-1"};
+    EXPECT_EXIT(parseSeedFlag(3, const_cast<char **>(neg_seed)),
+                testing::ExitedWithCode(1),
+                "--seed must be a positive integer, got '-1'");
+    const char *frac_jobs[] = {"bench", "-j", "2.5"};
+    EXPECT_EXIT(parseJobsFlag(3, const_cast<char **>(frac_jobs)),
+                testing::ExitedWithCode(1),
+                "--jobs must be a positive integer, got '2.5'");
+
+    // The environment goes through the same reader; each death test
+    // sets its variable in the child only.
+    EXPECT_EXIT(
+        {
+            ::setenv("DSM_JOBS", "4294967297", 1);
+            SweepRunner::resolveJobs(0);
+        },
+        testing::ExitedWithCode(1),
+        "DSM_JOBS must be a positive integer, got '4294967297'");
+    EXPECT_EXIT(
+        {
+            ::setenv("DSM_SEED", "-1", 1);
+            seedFromEnv();
+        },
+        testing::ExitedWithCode(1),
+        "DSM_SEED must be a positive integer, got '-1'");
+    EXPECT_EXIT(
+        {
+            ::setenv("DSM_FAULTS", "1", 1);
+            ::setenv("DSM_FAULT_SEED", "-1", 1);
+            faultConfigFromEnv();
+        },
+        testing::ExitedWithCode(1), "DSM_FAULT_SEED must be an integer");
 }
 
 TEST(ExperimentDeath, SystemRejectsInvalidPointConfig)

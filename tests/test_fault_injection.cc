@@ -10,6 +10,10 @@
 
 #include "helpers.hh"
 
+#include <initializer_list>
+#include <tuple>
+#include <utility>
+
 #include "exp/experiment.hh"
 #include "fault/fault.hh"
 #include "workloads/counter_apps.hh"
@@ -59,6 +63,72 @@ TEST(FaultConfig, ParseDefaultMix)
     EXPECT_DOUBLE_EQ(fc.evict_prob, 0.02);
     EXPECT_DOUBLE_EQ(fc.nack_prob, 0.1);
     EXPECT_EQ(fc.max_extra_nacks, 4);
+
+    // The default mix and every built-in recovery and chaos campaign
+    // level print as they always have: these strings name the runs in
+    // BENCH meta and repro lines.
+    for (auto [spec, summary] : std::initializer_list<
+             std::pair<const char *, const char *>>{
+             {"default",
+              "seed=0,jitter_prob=0.2,jitter_max=64,resv_drop_prob=0.05,"
+              "evict_prob=0.02,nack_prob=0.1,max_extra_nacks=4"},
+             {"drop_prob=0.0002,req_timeout=2000",
+              "seed=0,jitter_prob=0,jitter_max=0,resv_drop_prob=0,"
+              "evict_prob=0,nack_prob=0,max_extra_nacks=4,"
+              "drop_prob=0.0002,flaky_links=0,flaky_window=0,"
+              "flaky_duration=0,flaky_drop_prob=1,req_timeout=2000,"
+              "quarantine_k=0,quarantine_window=0"},
+             {"drop_prob=0.001,req_timeout=2000",
+              "seed=0,jitter_prob=0,jitter_max=0,resv_drop_prob=0,"
+              "evict_prob=0,nack_prob=0,max_extra_nacks=4,"
+              "drop_prob=0.001,flaky_links=0,flaky_window=0,"
+              "flaky_duration=0,flaky_drop_prob=1,req_timeout=2000,"
+              "quarantine_k=0,quarantine_window=0"},
+             {"drop_prob=0.001,flaky_links=1,flaky_window=50000,"
+              "flaky_duration=50000,flaky_drop_prob=1,req_timeout=2000,"
+              "quarantine_k=2,quarantine_window=1000000000",
+              "seed=0,jitter_prob=0,jitter_max=0,resv_drop_prob=0,"
+              "evict_prob=0,nack_prob=0,max_extra_nacks=4,"
+              "drop_prob=0.001,flaky_links=1,flaky_window=50000,"
+              "flaky_duration=50000,flaky_drop_prob=1,req_timeout=2000,"
+              "quarantine_k=2,quarantine_window=1000000000"},
+             {"jitter_prob=0.001,jitter_max=8,drop_prob=0.0002,"
+              "reorder_prob=0.0005,reorder_max=16,dup_prob=0.0005,"
+              "dup_delay=32,corrupt_prob=0.0002,req_timeout=2000",
+              "seed=0,jitter_prob=0.001,jitter_max=8,resv_drop_prob=0,"
+              "evict_prob=0,nack_prob=0,max_extra_nacks=4,"
+              "drop_prob=0.0002,flaky_links=0,flaky_window=0,"
+              "flaky_duration=0,flaky_drop_prob=1,req_timeout=2000,"
+              "quarantine_k=0,quarantine_window=0,reorder_prob=0.0005,"
+              "reorder_max=16,dup_prob=0.0005,dup_delay=32,"
+              "corrupt_prob=0.0002"},
+             {"jitter_prob=0.002,jitter_max=16,drop_prob=0.0005,"
+              "reorder_prob=0.001,reorder_max=32,dup_prob=0.001,"
+              "dup_delay=64,corrupt_prob=0.0005,req_timeout=2000",
+              "seed=0,jitter_prob=0.002,jitter_max=16,resv_drop_prob=0,"
+              "evict_prob=0,nack_prob=0,max_extra_nacks=4,"
+              "drop_prob=0.0005,flaky_links=0,flaky_window=0,"
+              "flaky_duration=0,flaky_drop_prob=1,req_timeout=2000,"
+              "quarantine_k=0,quarantine_window=0,reorder_prob=0.001,"
+              "reorder_max=32,dup_prob=0.001,dup_delay=64,"
+              "corrupt_prob=0.0005"},
+             {"jitter_prob=0.005,jitter_max=32,drop_prob=0.001,"
+              "flaky_links=1,flaky_window=50000,flaky_duration=50000,"
+              "flaky_drop_prob=1,quarantine_k=2,"
+              "quarantine_window=1000000000,reorder_prob=0.002,"
+              "reorder_max=64,dup_prob=0.002,dup_delay=128,"
+              "corrupt_prob=0.001,resv_max_age=200000,req_timeout=2000",
+              "seed=0,jitter_prob=0.005,jitter_max=32,resv_drop_prob=0,"
+              "evict_prob=0,nack_prob=0,max_extra_nacks=4,"
+              "drop_prob=0.001,flaky_links=1,flaky_window=50000,"
+              "flaky_duration=50000,flaky_drop_prob=1,req_timeout=2000,"
+              "quarantine_k=2,quarantine_window=1000000000,"
+              "reorder_prob=0.002,reorder_max=64,dup_prob=0.002,"
+              "dup_delay=128,corrupt_prob=0.001,resv_max_age=200000"}}) {
+        FaultConfig c;
+        ASSERT_EQ(c.parse(spec), "");
+        EXPECT_EQ(c.summary(), summary);
+    }
 }
 
 TEST(FaultConfig, ParseKeyValueSpec)
@@ -74,6 +144,46 @@ TEST(FaultConfig, ParseKeyValueSpec)
     EXPECT_EQ(fc.max_extra_nacks, 2);
     // Unmentioned knobs keep their defaults.
     EXPECT_DOUBLE_EQ(fc.msg_jitter_prob, 0.0);
+
+    // Seeds past 2^53 are read exactly, not through a double.
+    EXPECT_EQ(fc.parse("seed=9007199254740993"), "");
+    EXPECT_EQ(fc.seed, 9007199254740993ULL);
+    EXPECT_EQ(fc.parse("seed=18446744073709551557"), "");
+    EXPECT_EQ(fc.seed, 18446744073709551557ULL);
+
+    // With every key set, 17-digit reals and the largest seed,
+    // summary() round-trips through parse() field by field.
+    auto fields = [](const FaultConfig &c) {
+        return std::tie(c.enabled, c.seed, c.msg_jitter_prob,
+                        c.msg_jitter_max, c.resv_drop_prob, c.evict_prob,
+                        c.nack_prob, c.max_extra_nacks, c.msg_drop_prob,
+                        c.flaky_links, c.flaky_window, c.flaky_duration,
+                        c.flaky_drop_prob, c.req_timeout, c.quarantine_k,
+                        c.quarantine_window, c.reorder_prob,
+                        c.reorder_max, c.dup_prob, c.dup_delay,
+                        c.corrupt_prob, c.resv_max_age);
+    };
+    FaultConfig all;
+    ASSERT_EQ(all.parse("seed=18446744073709551615,"
+                        "jitter_prob=0.12345678901234567,jitter_max=7,"
+                        "resv_drop_prob=0.30000000000000004,"
+                        "evict_prob=1e-17,nack_prob=0.1,"
+                        "max_extra_nacks=-2147483648,"
+                        "drop_prob=0.00020000000000000001,flaky_links=3,"
+                        "flaky_window=18446744073709551615,"
+                        "flaky_duration=9007199254740993,"
+                        "flaky_drop_prob=0.99999999999999989,"
+                        "req_timeout=2001,quarantine_k=2147483647,"
+                        "quarantine_window=1000000001,"
+                        "reorder_prob=2.2250738585072014e-308,"
+                        "reorder_max=17,dup_prob=0.6666666666666666,"
+                        "dup_delay=33,corrupt_prob=0.0001234567890123456,"
+                        "resv_max_age=200001"),
+              "");
+    FaultConfig back;
+    ASSERT_EQ(back.parse(all.summary()), "") << all.summary();
+    EXPECT_TRUE(fields(back) == fields(all)) << all.summary();
+    EXPECT_EQ(back.summary(), all.summary());
 }
 
 TEST(FaultConfig, ParseErrors)
@@ -85,6 +195,33 @@ TEST(FaultConfig, ParseErrors)
               std::string::npos);
     EXPECT_NE(fc.parse("zorp=1").find("unknown fault spec key"),
               std::string::npos);
+
+    // Values are read by the field's type: integers exactly (no
+    // fraction, no sign on an unsigned field, nothing out of range),
+    // reals only when finite, and no key but credit_threshold takes a
+    // word. The error names the key and the value.
+    for (auto [key, value] : std::initializer_list<
+             std::pair<const char *, const char *>>{
+             {"seed", "18446744073709551616"},
+             {"seed", "-1"},
+             {"seed", "1.5"},
+             {"seed", "auto"},
+             {"jitter_max", "-3"},
+             {"req_timeout", "2e3"},
+             {"max_extra_nacks", "2.5"},
+             {"flaky_links", "4294967297"},
+             {"jitter_prob", "nan"},
+             {"jitter_prob", "-nan"},
+             {"nack_prob", "inf"},
+             {"drop_prob", "1e999"},
+             {"corrupt_prob", "0x"}}) {
+        FaultConfig r;
+        std::string err = r.parse(csprintf("%s=%s", key, value));
+        EXPECT_NE(err.find(csprintf("'%s' for '%s'", value, key)),
+                  std::string::npos)
+            << key << "=" << value << ": " << err;
+        EXPECT_FALSE(r.enabled) << "a failed parse leaves the config";
+    }
 }
 
 TEST(FaultConfig, ValidateRejectsBadProbability)

@@ -9,7 +9,10 @@
  */
 
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cpu/admission.hh"
@@ -48,14 +51,56 @@ TEST(OpenLoopConfig, ParseDefaultsAndSpecs)
     EXPECT_EQ(s.slo_cycles, 500u);
     EXPECT_EQ(s.ops_per_proc, 32);
 
-    // summary() round-trips through parse().
-    OpenLoopConfig r;
-    EXPECT_TRUE(r.parse(s.summary()).empty());
-    EXPECT_DOUBLE_EQ(r.rate_ppc, s.rate_ppc);
-    EXPECT_EQ(r.burst, s.burst);
-    EXPECT_EQ(r.queue_cap, s.queue_cap);
-    EXPECT_EQ(r.slo_cycles, s.slo_cycles);
-    EXPECT_EQ(r.ops_per_proc, s.ops_per_proc);
+    // summary() round-trips through parse(), field by field, also for
+    // a rate that %g alone would round.
+    auto fields = [](const OpenLoopConfig &c) {
+        return std::tie(c.enabled, c.rate_ppc, c.burst, c.queue_cap,
+                        c.slo_cycles, c.ops_per_proc);
+    };
+    for (const char *spec :
+         {"rate=0.01,burst=4,queue_cap=8,slo_cycles=500,ops_per_proc=32",
+          "rate=0.00012345678901234567,burst=2147483647,queue_cap=1,"
+          "slo_cycles=18446744073709551615,ops_per_proc=-2147483648"}) {
+        OpenLoopConfig a, r;
+        ASSERT_EQ(a.parse(spec), "");
+        ASSERT_EQ(r.parse(a.summary()), "") << a.summary();
+        EXPECT_TRUE(fields(r) == fields(a)) << a.summary();
+        EXPECT_EQ(r.summary(), a.summary());
+    }
+
+    // The built-in campaign levels print as they always have.
+    for (auto [spec, summary] : std::initializer_list<
+             std::pair<const char *, const char *>>{
+             {"rate=0.0001,slo_cycles=2000,ops_per_proc=256",
+              "rate=0.0001,burst=1,queue_cap=64,slo_cycles=2000,"
+              "ops_per_proc=256"},
+             {"rate=0.0003,slo_cycles=2000,ops_per_proc=256",
+              "rate=0.0003,burst=1,queue_cap=64,slo_cycles=2000,"
+              "ops_per_proc=256"},
+             {"rate=0.001,slo_cycles=2000,ops_per_proc=256",
+              "rate=0.001,burst=1,queue_cap=64,slo_cycles=2000,"
+              "ops_per_proc=256"},
+             {"rate=0.003,slo_cycles=2000,ops_per_proc=256",
+              "rate=0.003,burst=1,queue_cap=64,slo_cycles=2000,"
+              "ops_per_proc=256"},
+             {"rate=0.0003,burst=8,slo_cycles=2000,ops_per_proc=256",
+              "rate=0.0003,burst=8,queue_cap=64,slo_cycles=2000,"
+              "ops_per_proc=256"},
+             {"rate=0.001,slo_cycles=2000,ops_per_proc=192",
+              "rate=0.001,burst=1,queue_cap=64,slo_cycles=2000,"
+              "ops_per_proc=192"},
+             {"rate=0.002,slo_cycles=2000,ops_per_proc=192",
+              "rate=0.002,burst=1,queue_cap=64,slo_cycles=2000,"
+              "ops_per_proc=192"},
+             {"rate=0.004,slo_cycles=2000,ops_per_proc=192",
+              "rate=0.004,burst=1,queue_cap=64,slo_cycles=2000,"
+              "ops_per_proc=192"},
+             {"default", "rate=0.001,burst=1,queue_cap=64,slo_cycles=0,"
+                         "ops_per_proc=256"}}) {
+        OpenLoopConfig c;
+        ASSERT_EQ(c.parse(spec), "");
+        EXPECT_EQ(c.summary(), summary);
+    }
 }
 
 TEST(OpenLoopConfig, ParseErrorsAreDescriptive)
@@ -68,6 +113,33 @@ TEST(OpenLoopConfig, ParseErrorsAreDescriptive)
     err = c.parse("bogus=1");
     EXPECT_NE(err.find("unknown openloop spec key"), std::string::npos)
         << err;
+    EXPECT_NE(err.find("(keys: rate, burst, queue_cap, slo_cycles, "
+                       "ops_per_proc)"),
+              std::string::npos)
+        << err;
+
+    // Values are read by the field's type: an integer exactly, a real
+    // only when finite. The error names the key and the value.
+    for (auto [key, value] : std::initializer_list<
+             std::pair<const char *, const char *>>{
+             {"slo_cycles", "-1"},
+             {"slo_cycles", "18446744073709551616"},
+             {"burst", "1e10"},
+             {"burst", "10000000000"},
+             {"queue_cap", "2.5"},
+             {"ops_per_proc", "+4"},
+             {"burst", "auto"},
+             {"rate", "nan"},
+             {"rate", "inf"},
+             {"rate", "-inf"},
+             {"rate", ""}}) {
+        OpenLoopConfig r;
+        std::string bad = r.parse(csprintf("%s=%s", key, value));
+        EXPECT_NE(bad.find(csprintf("'%s' for '%s'", value, key)),
+                  std::string::npos)
+            << key << "=" << value << ": " << bad;
+        EXPECT_FALSE(r.enabled) << "a failed parse leaves the config";
+    }
 }
 
 TEST(OpenLoopConfig, ValidateRejectsBadKnobs)

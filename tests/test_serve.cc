@@ -13,7 +13,10 @@
  */
 
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "helpers.hh"
@@ -52,19 +55,74 @@ TEST(ServeConfig, ParseDefaultsAndSpecs)
     EXPECT_EQ(s.age_limit, 500u);
     EXPECT_EQ(s.backoff_cap, 8);
 
-    // summary() round-trips through parse().
-    ServeConfig r;
-    EXPECT_TRUE(r.parse(s.summary()).empty());
-    EXPECT_EQ(r.combining, s.combining);
-    EXPECT_EQ(r.combine_limit, s.combine_limit);
-    EXPECT_EQ(r.credit_threshold, s.credit_threshold);
-    EXPECT_EQ(r.priority, s.priority);
-    EXPECT_EQ(r.age_limit, s.age_limit);
-    EXPECT_EQ(r.backoff_cap, s.backoff_cap);
+    // summary() round-trips through parse(), field by field,
+    // credit_threshold=auto included.
+    auto fields = [](const ServeConfig &c) {
+        return std::tie(c.enabled, c.combining, c.combine_limit,
+                        c.backpressure, c.credit_threshold, c.credit_auto,
+                        c.priority, c.age_limit, c.nack_backoff,
+                        c.backoff_cap);
+    };
+    for (const char *spec :
+         {"combining=0,backpressure=1,credit_threshold=3,priority=0,"
+          "age_limit=500,nack_backoff=1,backoff_cap=8,combine_limit=4",
+          "credit_threshold=auto,age_limit=18446744073709551615,"
+          "combine_limit=-2147483648,backoff_cap=2147483647"}) {
+        ServeConfig a, r;
+        ASSERT_EQ(a.parse(spec), "");
+        ASSERT_EQ(r.parse(a.summary()), "") << a.summary();
+        EXPECT_TRUE(fields(r) == fields(a)) << a.summary();
+        EXPECT_EQ(r.summary(), a.summary());
+    }
+
+    // The built-in overload campaign levels print as they always have.
+    for (auto [spec, summary] : std::initializer_list<
+             std::pair<const char *, const char *>>{
+             {"combining=1,backpressure=0,priority=0,nack_backoff=0",
+              "combining=1,combine_limit=8,backpressure=0,"
+              "credit_threshold=8,priority=0,age_limit=2000,"
+              "nack_backoff=0,backoff_cap=10"},
+             {"combining=0,backpressure=1,priority=0,nack_backoff=0",
+              "combining=0,combine_limit=8,backpressure=1,"
+              "credit_threshold=8,priority=0,age_limit=2000,"
+              "nack_backoff=0,backoff_cap=10"},
+             {"combining=0,backpressure=0,priority=1,nack_backoff=0",
+              "combining=0,combine_limit=8,backpressure=0,"
+              "credit_threshold=8,priority=1,age_limit=2000,"
+              "nack_backoff=0,backoff_cap=10"},
+             {"1", "combining=1,combine_limit=8,backpressure=1,"
+                   "credit_threshold=8,priority=1,age_limit=2000,"
+                   "nack_backoff=1,backoff_cap=10"}}) {
+        ServeConfig c;
+        ASSERT_EQ(c.parse(spec), "");
+        EXPECT_EQ(c.summary(), summary);
+    }
 
     ServeConfig bad;
     EXPECT_NE(bad.parse("bogus=1").find("unknown serve spec key"),
               std::string::npos);
+
+    // Values are read by the field's type: flags only as 0 or 1,
+    // integers exactly, and only credit_threshold takes "auto". The
+    // error names the key and the value.
+    for (auto [key, value] : std::initializer_list<
+             std::pair<const char *, const char *>>{
+             {"combine_limit", "2.5"},
+             {"age_limit", "-3"},
+             {"age_limit", "1e3"},
+             {"backoff_cap", "2147483648"},
+             {"combining", "2"},
+             {"priority", "-1"},
+             {"nack_backoff", "true"},
+             {"combine_limit", "auto"},
+             {"credit_threshold", "AUTO"}}) {
+        ServeConfig r;
+        std::string err = r.parse(csprintf("%s=%s", key, value));
+        EXPECT_NE(err.find(csprintf("'%s' for '%s'", value, key)),
+                  std::string::npos)
+            << key << "=" << value << ": " << err;
+        EXPECT_FALSE(r.enabled) << "a failed parse leaves the config";
+    }
 }
 
 TEST(ServeConfig, ValidateRejectsBadKnobs)

@@ -267,6 +267,12 @@ TEST(BenchReportTest, WritesBenchJsonToDsmBenchDir)
     ASSERT_TRUE(parseJsonOrFail(content, &root));
     EXPECT_EQ(root.str("schema"), "dsm-bench-v1");
     EXPECT_EQ(root.str("bench"), "writetest");
+
+    // Empty or unset means the current directory, never the root.
+    ASSERT_EQ(::setenv("DSM_BENCH_DIR", "", 1), 0);
+    EXPECT_EQ(benchOutputPath("MC_DUMP_x.txt"), "./MC_DUMP_x.txt");
+    ::unsetenv("DSM_BENCH_DIR");
+    EXPECT_EQ(benchOutputPath("MC_DUMP_x.txt"), "./MC_DUMP_x.txt");
 }
 
 } // namespace
