@@ -180,9 +180,9 @@ pointProblems(System &sys, bool completed, bool correct)
     const Config &cfg = sys.cfg();
     std::vector<std::string> problems;
     if (!completed) {
-        const Watchdog &wd = sys.watchdogState();
-        problems.push_back(wd.tripped()
-                               ? wd.diagnosis()
+        const Watchdog *wd = sys.watchdog();
+        problems.push_back(wd != nullptr && wd->tripped()
+                               ? wd->diagnosis()
                                : "run did not complete:\n" +
                                      Watchdog::blockedTxnDump(sys));
     } else {
@@ -412,7 +412,8 @@ class Campaign
             report += p + "\n";
         std::lock_guard<std::mutex> g(_mutex);
         _failures.push_back(Failure{idx, tags, repro, std::move(report),
-                                    sys.watchdogState().tripped()});
+                                    sys.watchdog() != nullptr &&
+                                        sys.watchdog()->tripped()});
         return 0;
     }
 
@@ -426,6 +427,22 @@ class Campaign
 
 /** Row fields of the fault-axis profiles beyond the common prefix. */
 using FaultFields = void (*)(BenchRow &, System &);
+
+/** @p sys's fault counters; zeros when its level turns faults off. */
+FaultPlan::Counters
+faultCounters(System &sys)
+{
+    return sys.faults() != nullptr ? sys.faults()->counters()
+                                   : FaultPlan::Counters{};
+}
+
+/** @p sys's recovery counters; zeros when req_timeout is off. */
+Recovery::Counters
+recoveryCounters(System &sys)
+{
+    return sys.recovery() != nullptr ? sys.recovery()->counters()
+                                     : Recovery::Counters{};
+}
 
 /**
  * The points of the fault-axis profiles: impl x level x seed, each a
@@ -502,7 +519,7 @@ faultProfile(Campaign &c)
         .table(false)
         .faults(fc);
     counterPoints(c, mix, 4, false, [](BenchRow &row, System &sys) {
-        const FaultPlan::Counters &f = sys.faultPlan().counters();
+        FaultPlan::Counters f = faultCounters(sys);
         row.set("nacks_injected", f.nacks_injected)
             .set("resv_drops", f.resv_drops)
             .set("forced_evictions", f.forced_evictions)
@@ -544,8 +561,8 @@ recoveryProfile(Campaign &c)
         .colKey("loss")
         .table(false);
     counterPoints(c, loss, 64, true, [](BenchRow &row, System &sys) {
-        const FaultPlan::Counters &f = sys.faultPlan().counters();
-        const Recovery::Counters &r = sys.recoveryState().counters();
+        FaultPlan::Counters f = faultCounters(sys);
+        Recovery::Counters r = recoveryCounters(sys);
         row.set("msg_drops", f.msg_drops)
             .set("flaky_drops", f.flaky_drops)
             .set("drops", r.drops)
@@ -613,8 +630,8 @@ chaosProfile(Campaign &c)
         .colKey("chaos")
         .table(false);
     counterPoints(c, chaos, 64, true, [](BenchRow &row, System &sys) {
-        const FaultPlan::Counters &f = sys.faultPlan().counters();
-        const Recovery::Counters &r = sys.recoveryState().counters();
+        FaultPlan::Counters f = faultCounters(sys);
+        Recovery::Counters r = recoveryCounters(sys);
         row.set("msg_drops", f.msg_drops)
             .set("flaky_drops", f.flaky_drops)
             .set("msg_reorders", f.msg_reorders)

@@ -4,13 +4,11 @@
 
 namespace dsm {
 
-void
-AdmissionQueues::configure(const OpenLoopConfig &cfg, int num_procs)
+AdmissionQueues::AdmissionQueues(const OpenLoopConfig &cfg, int num_procs)
+    : _cfg(cfg),
+      _q(static_cast<std::size_t>(num_procs)),
+      _throttle_until(static_cast<std::size_t>(num_procs), 0)
 {
-    _cfg = cfg;
-    _q.assign(static_cast<std::size_t>(num_procs), {});
-    _throttle_until.assign(static_cast<std::size_t>(num_procs), 0);
-    _st = OpenLoopStats{};
 }
 
 bool

@@ -53,7 +53,7 @@ struct OpenLoopStats
 class AdmissionQueues
 {
   public:
-    void configure(const OpenLoopConfig &cfg, int num_procs);
+    AdmissionQueues(const OpenLoopConfig &cfg, int num_procs);
 
     /**
      * Offer one arrival at @p now to node @p n. Samples the observed

@@ -32,24 +32,20 @@ System::System(const Config &cfg)
     _mesh.setTracer(&_tracer);
     _txns.configure(_cfg.txn_trace, n);
     _mesh.setTxnTracer(&_txns);
-    _faults.configure(_cfg.faults, _cfg.machine.seed, _cfg.machine);
-    if (_faults.enabled()) {
-        _faults_on = &_faults;
-        _mesh.setFaults(&_faults);
+    if (_cfg.faults.enabled) {
+        _faults = std::make_unique<FaultPlan>(_cfg.faults, _cfg.machine.seed,
+                                              _cfg.machine);
+        _mesh.setFaults(_faults.get());
     }
     if (_cfg.faults.recoveryEnabled()) {
-        _recovery.configure(*this, _mesh);
-        _recovery_on = &_recovery;
-        _mesh.setRecovery(&_recovery, _cfg.faults.quarantine_k,
+        _recovery = std::make_unique<Recovery>(*this, _mesh);
+        _mesh.setRecovery(_recovery.get(), _cfg.faults.quarantine_k,
                           _cfg.faults.quarantine_window);
     }
-    _watchdog.configure(_cfg.watchdog);
-    if (_watchdog.enabled())
-        _watchdog_on = &_watchdog;
-    if (_cfg.openloop.enabled) {
-        _admission.configure(_cfg.openloop, n);
-        _admission_on = &_admission;
-    }
+    if (_cfg.watchdog.enabled)
+        _watchdog = std::make_unique<Watchdog>(_cfg.watchdog);
+    if (_cfg.openloop.enabled)
+        _admission = std::make_unique<AdmissionQueues>(_cfg.openloop, n);
     if (_cfg.serve.enabled) {
         _home_queues.reserve(n);
         for (int i = 0; i < n; ++i)
@@ -57,30 +53,29 @@ System::System(const Config &cfg)
     }
     _credit_threshold = _cfg.serve.credit_threshold;
     if (_cfg.telemetry.enabled) {
-        _telemetry.configure(_cfg.telemetry);
-        _telemetry_on = &_telemetry;
-        _line_prof_on = &_line_prof;
+        _telemetry = std::make_unique<TimeSeries>(_cfg.telemetry);
+        _line_prof = std::make_unique<LineProfiler>();
         _mesh.enableLinkCounters();
         registerTelemetrySeries();
         if (_cfg.serve.credit_auto) {
             // serve.credit_threshold=auto: re-derive the backpressure
             // threshold from the depth series at each window boundary.
             _eq.setSampler(_cfg.telemetry.window, [this](Tick t) {
-                _telemetry.sample(t);
+                _telemetry->sample(t);
                 updateCreditThreshold();
             });
         } else {
             _eq.setSampler(_cfg.telemetry.window,
-                           [this](Tick t) { _telemetry.sample(t); });
+                           [this](Tick t) { _telemetry->sample(t); });
         }
     }
     _spin_elision = _cfg.machine.spin_elision && !_cfg.trace.enabled &&
-                    !_cfg.txn_trace.enabled && _faults_on == nullptr &&
-                    _recovery_on == nullptr && _watchdog_on == nullptr;
+                    !_cfg.txn_trace.enabled && !_faults && !_recovery &&
+                    !_watchdog;
     buildRegistry();
     if (_cfg.machine.spurious_resv_period > 0)
         scheduleSpuriousInvalidation();
-    if (_watchdog.enabled() && _cfg.watchdog.max_txn_age > 0)
+    if (_watchdog && _cfg.watchdog.max_txn_age > 0)
         scheduleWatchdogScan();
 }
 
@@ -90,36 +85,36 @@ System::registerTelemetrySeries()
     // Machine-wide series, sampled at window boundaries by the event
     // queue. Getters that sum per-node counters are O(nodes) per
     // window — off the per-event hot path entirely.
-    _telemetry.addDelta("events",
-                        [this] { return _eq.eventsExecuted(); });
-    _telemetry.addDelta("ops", [this] {
+    TimeSeries &ts = *_telemetry;
+    ts.addDelta("events", [this] { return _eq.eventsExecuted(); });
+    ts.addDelta("ops", [this] {
         std::uint64_t v = 0;
         for (const auto &p : _procs)
             v += p->opsIssued();
         return v;
     });
     const MeshStats &ms = _mesh.stats();
-    _telemetry.addDelta("messages", [&ms] { return ms.messages; });
-    _telemetry.addDelta("flits", [&ms] { return ms.flits; });
-    _telemetry.addDelta("nacks", [this] {
+    ts.addDelta("messages", [&ms] { return ms.messages; });
+    ts.addDelta("flits", [&ms] { return ms.flits; });
+    ts.addDelta("nacks", [this] {
         std::uint64_t v = 0;
         for (const SysStats &s : _node_stats)
             v += s.nacks;
         return v;
     });
-    _telemetry.addDelta("retries", [this] {
+    ts.addDelta("retries", [this] {
         std::uint64_t v = 0;
         for (const SysStats &s : _node_stats)
             v += s.retries;
         return v;
     });
-    _telemetry.addDelta("invalidations", [this] {
+    ts.addDelta("invalidations", [this] {
         std::uint64_t v = 0;
         for (const SysStats &s : _node_stats)
             v += s.invalidations;
         return v;
     });
-    _telemetry.addDelta("mem_queue_cycles", [this] {
+    ts.addDelta("mem_queue_cycles", [this] {
         std::uint64_t v = 0;
         for (const MemModule &m : _mems)
             v += m.queueCycles();
@@ -127,7 +122,7 @@ System::registerTelemetrySeries()
     });
     // Directory/memory backlog: cycles of already-reserved service
     // time still ahead of the clock, summed and worst-node.
-    _telemetry.addGauge("mem_backlog", [this] {
+    ts.addGauge("mem_backlog", [this] {
         std::uint64_t v = 0;
         Tick t = _eq.now();
         for (const MemModule &m : _mems)
@@ -135,7 +130,7 @@ System::registerTelemetrySeries()
                 v += m.freeAt() - t;
         return v;
     });
-    _telemetry.addGauge("mem_backlog_max", [this] {
+    ts.addGauge("mem_backlog_max", [this] {
         std::uint64_t v = 0;
         Tick t = _eq.now();
         for (const MemModule &m : _mems)
@@ -143,35 +138,32 @@ System::registerTelemetrySeries()
                 v = m.freeAt() - t;
         return v;
     });
-    if (_cfg.faults.recoveryEnabled()) {
-        const Recovery::Counters &rc = _recovery.counters();
-        _telemetry.addDelta("recovery_drops", [&rc] { return rc.drops; });
-        _telemetry.addDelta("recovery_retransmits",
-                            [&rc] { return rc.retransmits; });
+    if (_recovery) {
+        const Recovery::Counters &rc = _recovery->counters();
+        ts.addDelta("recovery_drops", [&rc] { return rc.drops; });
+        ts.addDelta("recovery_retransmits",
+                    [&rc] { return rc.retransmits; });
     }
     if (_cfg.serve.credit_auto) {
         // Home-queue depth series feeding the adaptive credit threshold.
         // Registered only under credit_threshold=auto so fixed-threshold
         // serve runs keep their exact telemetry shape.
-        _telemetry.addGauge("serve_queue_depth", [this] {
+        ts.addGauge("serve_queue_depth", [this] {
             std::uint64_t v = 0;
             for (const HomeQueue &q : _home_queues)
                 v += q.depth();
             return v;
         });
     }
-    if (_cfg.openloop.enabled) {
-        const OpenLoopStats &os = _admission.stats();
-        _telemetry.addDelta("openloop_admitted",
-                            [&os] { return os.admitted; });
-        _telemetry.addDelta("openloop_rejected",
-                            [&os] { return os.rejected; });
-        _telemetry.addDelta("openloop_completed",
-                            [&os] { return os.completed; });
-        _telemetry.addGauge("openloop_queue_depth", [this] {
+    if (_admission) {
+        const OpenLoopStats &os = _admission->stats();
+        ts.addDelta("openloop_admitted", [&os] { return os.admitted; });
+        ts.addDelta("openloop_rejected", [&os] { return os.rejected; });
+        ts.addDelta("openloop_completed", [&os] { return os.completed; });
+        ts.addGauge("openloop_queue_depth", [this] {
             std::uint64_t v = 0;
             for (int i = 0; i < numProcs(); ++i)
-                v += _admission.depth(i);
+                v += _admission->depth(i);
             return v;
         });
     }
@@ -181,7 +173,7 @@ void
 System::updateCreditThreshold()
 {
     std::vector<std::uint64_t> v =
-        _telemetry.seriesValues("serve_queue_depth");
+        _telemetry->seriesValues("serve_queue_depth");
     if (v.empty())
         return;
     std::uint64_t sum = 0;
@@ -257,8 +249,8 @@ System::buildRegistry()
 
     // Fault-injection and watchdog counters: registered only when the
     // feature is on, so fault-free runs keep their exact JSON shape.
-    if (_cfg.faults.enabled) {
-        const FaultPlan::Counters &fc = _faults.counters();
+    if (_faults) {
+        const FaultPlan::Counters &fc = _faults->counters();
         _registry.addCounter("fault.jitter_applied", &fc.jitter_applied);
         _registry.addCounter("fault.jitter_cycles", &fc.jitter_cycles);
         _registry.addCounter("fault.resv_drops", &fc.resv_drops);
@@ -280,8 +272,8 @@ System::buildRegistry()
                                  &fc.msg_corruptions);
         }
     }
-    if (_cfg.faults.recoveryEnabled()) {
-        const Recovery::Counters &rc = _recovery.counters();
+    if (_recovery) {
+        const Recovery::Counters &rc = _recovery->counters();
         _registry.addCounter("recovery.drops", &rc.drops);
         _registry.addCounter("recovery.req_drops", &rc.req_drops);
         _registry.addCounter("recovery.reply_drops", &rc.reply_drops);
@@ -290,7 +282,7 @@ System::buildRegistry()
         _registry.addCounter("recovery.quarantine_covered",
                              &rc.quarantine_covered);
         _registry.addCounter("recovery.pending_drops",
-                             [this] { return _recovery.pendingDrops(); });
+                             [this] { return _recovery->pendingDrops(); });
         _registry.addCounter("recovery.retransmits", &rc.retransmits);
         _registry.addCounter("recovery.stale_replies", &rc.stale_replies);
         _registry.addCounter("recovery.nacks_lost", &rc.nacks_lost);
@@ -317,14 +309,14 @@ System::buildRegistry()
                                  &rc.reorders_delivered);
         }
     }
-    if (_cfg.watchdog.enabled)
+    if (_watchdog)
         _registry.addCounter("fault.watchdog_trips",
-                             _watchdog.tripsCounter());
+                             _watchdog->tripsCounter());
 
     // Open-loop serving counters: registered only when open-loop
     // arrivals are on, so closed-loop runs keep their exact JSON shape.
-    if (_cfg.openloop.enabled) {
-        const OpenLoopStats &os = _admission.stats();
+    if (_admission) {
+        const OpenLoopStats &os = _admission->stats();
         _registry.addCounter("openloop.offered", &os.offered);
         _registry.addCounter("openloop.admitted", &os.admitted);
         _registry.addCounter("openloop.rejected", &os.rejected);
@@ -363,18 +355,18 @@ System::buildRegistry()
 
     // Telemetry accounting: registered only when telemetry is on, so
     // untelemetered runs keep their exact JSON shape.
-    if (_cfg.telemetry.enabled) {
+    if (_telemetry) {
         _registry.addCounter("timeseries.windows", [this] {
-            return _telemetry.windowsSampled();
+            return _telemetry->windowsSampled();
         });
         _registry.addCounter("timeseries.windows_evicted", [this] {
-            return _telemetry.windowsEvicted();
+            return _telemetry->windowsEvicted();
         });
         _registry.addCounter("timeseries.series", [this] {
-            return static_cast<std::uint64_t>(_telemetry.numSeries());
+            return static_cast<std::uint64_t>(_telemetry->numSeries());
         });
         _registry.addCounter("timeseries.lines_tracked", [this] {
-            return _line_prof.linesTracked();
+            return _line_prof->linesTracked();
         });
     }
 
@@ -456,9 +448,9 @@ void
 System::scheduleWatchdogScan()
 {
     _eq.scheduleIn(_cfg.watchdog.scan_period, [this] {
-        _watchdog.scan(*this);
+        _watchdog->scan(*this);
         // Stop re-arming once tripped or idle so the queue can drain.
-        if (tasksPending() > 0 && !_watchdog.tripped())
+        if (tasksPending() > 0 && !_watchdog->tripped())
             scheduleWatchdogScan();
     });
 }
@@ -596,16 +588,17 @@ System::report() const
 std::string
 System::telemetryJson()
 {
-    _telemetry.finalize(_eq.now());
+    dsm_assert(_telemetry != nullptr, "telemetryJson() with telemetry off");
+    _telemetry->finalize(_eq.now());
     JsonWriter w;
     w.beginObject();
     w.key("timeseries");
-    _telemetry.writeJson(w);
-    w.kv("lines_tracked", _line_prof.linesTracked());
+    _telemetry->writeJson(w);
+    w.kv("lines_tracked", _line_prof->linesTracked());
     w.key("hot_lines");
     w.beginArray();
     for (const LineProfiler::Ranked &r :
-         _line_prof.ranked(_cfg.telemetry.hot_lines)) {
+         _line_prof->ranked(_cfg.telemetry.hot_lines)) {
         w.beginObject();
         w.kv("addr", static_cast<std::uint64_t>(r.addr));
         w.kv("home", static_cast<int>(homeOf(r.addr)));
@@ -645,8 +638,8 @@ System::telemetryJson()
         w.raw(_txns.attribution().tailJson());
         w.key("exemplars");
         w.raw(_txns.exemplarsJson());
-        if (_admission_on != nullptr) {
-            const OpenLoopStats &os = _admission.stats();
+        if (_admission) {
+            const OpenLoopStats &os = _admission->stats();
             w.key("openloop");
             w.beginObject();
             w.kv("offered", os.offered);
@@ -679,9 +672,9 @@ System::run(Tick max_ticks)
     RunResult r;
     Tick deadline = _eq.now() + max_ticks;
     while (tasksPending() > 0) {
-        if (_watchdog_on != nullptr && _watchdog.tripped()) {
+        if (_watchdog && _watchdog->tripped()) {
             r.livelocked = true;
-            r.diagnosis = _watchdog.diagnosis();
+            r.diagnosis = _watchdog->diagnosis();
             break;
         }
         if (_eq.empty()) {

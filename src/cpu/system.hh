@@ -110,14 +110,17 @@ class System
             s = SysStats{};
         // Keep the fault counters in step with the protocol counters
         // they reconcile against (checker::checkFaultAccounting).
-        _faults.clearCounters();
-        _recovery.clearCounters();
+        if (_faults)
+            _faults->clearCounters();
+        if (_recovery)
+            _recovery->clearCounters();
         // Telemetry delta series re-baseline against the zeroed
         // counters and drop recorded windows, so post-clear windows
         // again sum exactly to the post-clear aggregates. The line
         // profiler and link-flit matrix stay cumulative, like the
         // transaction tracer.
-        _telemetry.rebaseline();
+        if (_telemetry)
+            _telemetry->rebaseline();
     }
 
     /** The hierarchical stats registry (per-node and global entries). */
@@ -142,26 +145,17 @@ class System
      * transaction tracer, the plan's RNG stream is not reset by
      * clearStats() (its counters are, see clearStats()).
      */
-    FaultPlan *faults() { return _faults_on; }
-
-    /** The fault plan itself, for inspection even when disabled. */
-    const FaultPlan &faultPlan() const { return _faults; }
+    FaultPlan *faults() { return _faults.get(); }
 
     /** The livelock watchdog, or nullptr when disabled. */
-    Watchdog *watchdog() { return _watchdog_on; }
-
-    /** The watchdog itself, for inspection even when disabled. */
-    const Watchdog &watchdogState() const { return _watchdog; }
+    Watchdog *watchdog() { return _watchdog.get(); }
 
     /**
      * The message-loss recovery layer (requester timers, home dedup,
      * drop ledger), or nullptr when FaultConfig::req_timeout is 0 —
      * the null-pointer gate that keeps loss-free runs zero-cost.
      */
-    Recovery *recovery() { return _recovery_on; }
-
-    /** The recovery layer itself, for inspection even when disabled. */
-    const Recovery &recoveryState() const { return _recovery; }
+    Recovery *recovery() { return _recovery.get(); }
 
     /**
      * The open-loop admission queues, or nullptr when open-loop
@@ -170,10 +164,7 @@ class System
      * transaction tracer, the serving counters are cumulative and not
      * reset by clearStats().
      */
-    AdmissionQueues *admission() { return _admission_on; }
-
-    /** The admission layer itself, for inspection even when disabled. */
-    const AdmissionQueues &admissionState() const { return _admission; }
+    AdmissionQueues *admission() { return _admission.get(); }
 
     /**
      * Node @p n's explicit home service queue, or nullptr when the
@@ -210,25 +201,20 @@ class System
      * is off — the usual null-pointer gate. When on, the event queue
      * drives it at every TelemetryConfig::window boundary.
      */
-    TimeSeries *telemetry() { return _telemetry_on; }
-
-    /** The sampler itself, for inspection even when disabled. */
-    const TimeSeries &telemetryState() const { return _telemetry; }
+    TimeSeries *telemetry() { return _telemetry.get(); }
 
     /**
      * The per-line contention profiler, or nullptr when telemetry is
      * off. Protocol hot paths pay one branch, like the tracers.
      */
-    LineProfiler *lineProfiler() { return _line_prof_on; }
-
-    /** The profiler itself, for inspection even when disabled. */
-    const LineProfiler &lineProfilerState() const { return _line_prof; }
+    LineProfiler *lineProfiler() { return _line_prof.get(); }
 
     /**
      * Finalize sampling (records the residual partial window) and
      * render the full telemetry snapshot — the windowed series, the
      * ranked hot-line table, and the per-directed-link flit matrix —
      * as one JSON object. The payload of the dsm-timeseries-v1 export.
+     * Telemetry must be on.
      */
     std::string telemetryJson();
 
@@ -365,25 +351,22 @@ class System
     StatsRegistry _registry;
     Tracer _tracer;
     TxnTracer _txns;
-    FaultPlan _faults;
-    Watchdog _watchdog;
-    Recovery _recovery;
-    TimeSeries _telemetry;
-    LineProfiler _line_prof;
-    AdmissionQueues _admission;
+    /**
+     * Optional subsystems: each is built only when its Config section
+     * turns it on and stays null otherwise (see the accessors).
+     */
+    std::unique_ptr<FaultPlan> _faults;
+    std::unique_ptr<Watchdog> _watchdog;
+    std::unique_ptr<Recovery> _recovery;
+    std::unique_ptr<TimeSeries> _telemetry;
+    std::unique_ptr<LineProfiler> _line_prof;
+    std::unique_ptr<AdmissionQueues> _admission;
     /** Per-home service queues; sized only when serve.enabled. */
     std::vector<HomeQueue> _home_queues;
     ServeStats _serve_stats;
     /** Live credit threshold (serve.credit_threshold=auto). */
     int _credit_threshold = 0;
     bool _spin_elision = false;
-    /** Non-null only when the corresponding feature is enabled. */
-    FaultPlan *_faults_on = nullptr;
-    Watchdog *_watchdog_on = nullptr;
-    Recovery *_recovery_on = nullptr;
-    TimeSeries *_telemetry_on = nullptr;
-    LineProfiler *_line_prof_on = nullptr;
-    AdmissionQueues *_admission_on = nullptr;
     SharingTracker _sharing;
     Rng _rng;
 

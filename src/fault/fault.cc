@@ -29,14 +29,12 @@ mixSeed(std::uint64_t s)
 
 } // namespace
 
-void
-FaultPlan::configure(const FaultConfig &cfg, std::uint64_t machine_seed,
+FaultPlan::FaultPlan(const FaultConfig &cfg, std::uint64_t machine_seed,
                      const MachineConfig &mc)
+    : _cfg(cfg),
+      _seed(cfg.seed != 0 ? cfg.seed : mixSeed(machine_seed)),
+      _rng(_seed)
 {
-    _cfg = cfg;
-    _seed = cfg.seed != 0 ? cfg.seed : mixSeed(machine_seed);
-    _rng = Rng(_seed);
-    _draws = 0;
     _jitter_ppm = toPpm(cfg.msg_jitter_prob);
     _resv_drop_ppm = toPpm(cfg.resv_drop_prob);
     _evict_ppm = toPpm(cfg.evict_prob);
@@ -47,11 +45,9 @@ FaultPlan::configure(const FaultConfig &cfg, std::uint64_t machine_seed,
     _dup_ppm = toPpm(cfg.dup_prob);
     _corrupt_ppm = toPpm(cfg.corrupt_prob);
     _nack_streak.assign(static_cast<std::size_t>(mc.num_procs), 0);
-    _ctr = Counters();
 
     // Flaky-link episodes come off the front of the fault stream, so
     // their placement is independent of the workload's message order.
-    _episodes.clear();
     if (cfg.flaky_links > 0 && mc.num_procs > 1) {
         for (int i = 0; i < cfg.flaky_links; ++i) {
             FlakyEpisode ep;

@@ -23,12 +23,12 @@
 namespace dsm {
 
 /**
- * Run-time fault injector configured from Config::faults. The hooks
- * are cheap and branch-free when the plan is disabled because callers
- * hold a null pointer instead (System::faults() returns nullptr when
- * off), mirroring the tracer discipline. Each probability is
- * pre-scaled to parts-per-million so decisions stay in integer
- * arithmetic on the deterministic Rng.
+ * Run-time fault injector configured from Config::faults. System
+ * builds one only when faults.enabled is set; the hooks cost one
+ * branch when injection is off because callers hold a null pointer
+ * instead (System::faults()). Each probability is pre-scaled to
+ * parts-per-million so decisions stay in integer arithmetic on the
+ * deterministic Rng.
  *
  * Injection sites and their safety arguments:
  *  - Message jitter is added to a network message's head arrival
@@ -95,10 +95,9 @@ class FaultPlan
      * here, from the front of the fault stream, using @p mc for the
      * mesh geometry.
      */
-    void configure(const FaultConfig &cfg, std::uint64_t machine_seed,
-                   const MachineConfig &mc);
+    FaultPlan(const FaultConfig &cfg, std::uint64_t machine_seed,
+              const MachineConfig &mc);
 
-    bool enabled() const { return _cfg.enabled; }
     /** The seed the RNG stream was actually built from. */
     std::uint64_t resolvedSeed() const { return _seed; }
     const Counters &counters() const { return _ctr; }
@@ -171,7 +170,7 @@ class FaultPlan
     const std::vector<FlakyEpisode> &episodes() const { return _episodes; }
 
     /**
-     * Fault-stream position: RNG draws made since configure(). Written
+     * Fault-stream position: RNG draws made since construction. Written
      * into watchdog dumps so a repro can fast-forward the stream, and
      * not reset by clearCounters() (positions are absolute).
      */
@@ -183,8 +182,8 @@ class FaultPlan
     bool drawChance(std::uint64_t ppm);
 
     FaultConfig _cfg;
-    std::uint64_t _seed = 0;
-    Rng _rng{1};
+    std::uint64_t _seed;
+    Rng _rng;
     std::uint64_t _jitter_ppm = 0;
     std::uint64_t _resv_drop_ppm = 0;
     std::uint64_t _evict_ppm = 0;

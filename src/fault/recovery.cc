@@ -6,15 +6,11 @@
 
 namespace dsm {
 
-void
-Recovery::configure(System &sys, Mesh &mesh)
+Recovery::Recovery(System &sys, Mesh &mesh)
+    : _sys(sys),
+      _mesh(mesh),
+      _pending(static_cast<std::size_t>(sys.cfg().machine.num_procs))
 {
-    _sys = &sys;
-    _mesh = &mesh;
-    _pending.assign(
-        static_cast<std::size_t>(sys.cfg().machine.num_procs), {});
-    _pending_total = 0;
-    _ctr = Counters();
 }
 
 void
@@ -37,7 +33,7 @@ Recovery::noteDrop(const Msg &m, NodeId from, NodeId to)
     // Requests carry requester == src semantics only implicitly; the
     // requester field is stamped on every covered message, so use it.
     NodeId r = m.requester;
-    if (_sys->ctrl(r).cpuAwaitedSeq() == m.seq) {
+    if (_sys.ctrl(r).cpuAwaitedSeq() == m.seq) {
         _pending[static_cast<std::size_t>(r)].push_back(d);
         ++_pending_total;
     } else {
@@ -63,7 +59,7 @@ Recovery::coverRequester(NodeId r)
 void
 Recovery::cover(const PendingDrop &d)
 {
-    if (_mesh->linkQuarantined(d.from, d.to))
+    if (_mesh.linkQuarantined(d.from, d.to))
         ++_ctr.quarantine_covered;
     else
         ++_ctr.retransmit_covered;

@@ -14,9 +14,10 @@
  * so a silently-lost (unrecoverable) message is a checker violation,
  * not a hang.
  *
- * Cost discipline: like the tracers and the fault plan, callers hold a
- * null pointer when the recovery layer is off (System::recovery()), so
- * fault-free runs pay one branch per hook.
+ * Cost discipline: System builds the ledger only when
+ * FaultConfig::recoveryEnabled(), and callers hold a null pointer when
+ * it is off (System::recovery()), so loss-free runs pay one branch per
+ * hook.
  */
 
 #ifndef DSM_FAULT_RECOVERY_HH
@@ -90,7 +91,7 @@ class Recovery
      * stale duplicates are covered immediately, and @p mesh provides
      * the link quarantine state used to bucket covered drops.
      */
-    void configure(System &sys, Mesh &mesh);
+    Recovery(System &sys, Mesh &mesh);
 
     /**
      * Record a dropped message (called by the mesh). @p from / @p to
@@ -133,8 +134,8 @@ class Recovery
 
     void cover(const PendingDrop &d);
 
-    System *_sys = nullptr;
-    Mesh *_mesh = nullptr;
+    System &_sys;
+    Mesh &_mesh;
     /** Pending (uncovered) drops, per requester. */
     std::vector<std::vector<PendingDrop>> _pending;
     std::uint64_t _pending_total = 0;

@@ -106,11 +106,10 @@ Watchdog::blockedTxnDump(System &sys)
                                (unsigned long long)sys.now());
     // Fault-stream position: a repro at the dumped seed can fast-
     // forward the stream to this draw count to reach the same state.
-    if (sys.faultPlan().enabled())
-        out += csprintf(
-            "  fault stream: seed=%llu draws=%llu\n",
-            (unsigned long long)sys.faultPlan().resolvedSeed(),
-            (unsigned long long)sys.faultPlan().draws());
+    if (const FaultPlan *fp = sys.faults())
+        out += csprintf("  fault stream: seed=%llu draws=%llu\n",
+                        (unsigned long long)fp->resolvedSeed(),
+                        (unsigned long long)fp->draws());
     int busy = 0;
     for (NodeId n = 0; n < sys.numProcs(); ++n) {
         if (!sys.ctrl(n).cpuBusy())

@@ -209,33 +209,27 @@ std::vector<std::string>
 checkFaultAccounting(System &sys)
 {
     std::vector<std::string> out;
-    const FaultPlan::Counters &fc = sys.faultPlan().counters();
-    const Recovery::Counters &rc = sys.recoveryState().counters();
-    SysStats agg = sys.stats();
-    bool quiesced = sys.tasksPending() == 0;
-
-    if (!sys.cfg().faults.enabled) {
-        std::uint64_t sum = fc.jitter_applied + fc.jitter_cycles +
-                            fc.resv_drops + fc.forced_evictions +
-                            fc.nacks_injected + fc.msg_drops +
-                            fc.flaky_drops + fc.msg_reorders +
-                            fc.msg_dups + fc.msg_corruptions;
-        if (sum != 0)
-            out.push_back(csprintf("fault injection is disabled but "
-                                   "fault counters are nonzero "
-                                   "(sum %llu)",
-                                   (unsigned long long)sum));
-        std::uint64_t rsum = rc.drops + rc.retransmits +
-                             rc.stale_replies + rc.dup_requests +
-                             rc.links_quarantined + rc.corrupt_detected +
-                             rc.dups_absorbed + rc.reorders_delivered;
-        if (rsum != 0)
-            out.push_back(csprintf("fault injection is disabled but "
-                                   "recovery counters are nonzero "
-                                   "(sum %llu)",
-                                   (unsigned long long)rsum));
+    const FaultConfig &cfg = sys.cfg().faults;
+    // Nothing may inject or count while injection is off, and every
+    // armed layer must exist: the owners' presence is the contract.
+    if (!cfg.enabled) {
+        if (sys.faults() != nullptr)
+            out.push_back("fault injection is disabled but a fault "
+                          "plan is armed");
+        if (sys.recovery() != nullptr)
+            out.push_back("fault injection is disabled but the "
+                          "recovery layer is armed");
         return out;
     }
+    if (sys.faults() == nullptr ||
+        cfg.recoveryEnabled() != (sys.recovery() != nullptr)) {
+        out.push_back("the armed fault layers do not match the fault "
+                      "config");
+        return out;
+    }
+    const FaultPlan::Counters &fc = sys.faults()->counters();
+    SysStats agg = sys.stats();
+    bool quiesced = sys.tasksPending() == 0;
 
     if (fc.nacks_injected > agg.nacks)
         out.push_back(csprintf("injected NACKs (%llu) exceed total "
@@ -243,7 +237,7 @@ checkFaultAccounting(System &sys)
                                (unsigned long long)fc.nacks_injected,
                                (unsigned long long)agg.nacks));
 
-    if (!sys.cfg().faults.recoveryEnabled()) {
+    if (!cfg.recoveryEnabled()) {
         // On a quiesced system every NACK was delivered and scheduled
         // exactly one retry, so the totals must agree; a gap means a
         // NACK was lost or a retry was manufactured.
@@ -254,6 +248,8 @@ checkFaultAccounting(System &sys)
                                    (unsigned long long)agg.nacks));
         return out;
     }
+    const Recovery &rec = *sys.recovery();
+    const Recovery::Counters &rc = rec.counters();
 
     // Under message loss a NACK counts one retry only if the requester
     // consumed it: subtract NACKs lost in the mesh and those discarded
@@ -291,7 +287,7 @@ checkFaultAccounting(System &sys)
                                (unsigned long long)rc.reply_drops,
                                (unsigned long long)rc.drops));
     if (quiesced) {
-        std::uint64_t pending = sys.recoveryState().pendingDrops();
+        std::uint64_t pending = rec.pendingDrops();
         if (pending != 0)
             out.push_back(csprintf("quiesced but %llu drops are still "
                                    "pending in the recovery ledger",

@@ -135,8 +135,9 @@ std::vector<std::string> checkChains(System &sys);
  * Reconcile the fault injector's counters with the protocol statistics
  * they must agree with:
  *
- *  - with fault injection disabled every fault.* and recovery.*
- *    counter is zero (the zero-cost-when-off promise);
+ *  - with fault injection disabled no fault plan and no recovery
+ *    ledger exist (the zero-cost-when-off promise), and with it
+ *    enabled the plan — and, given req_timeout, the ledger — does;
  *  - injected NACKs are a subset of all NACKs sent;
  *  - on a quiesced system (no tasks pending) every NACK — injected or
  *    organic — produced exactly one retry, so total retries equal

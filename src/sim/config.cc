@@ -526,18 +526,14 @@ Config::validate() const
                "is set";
 
     // The model checker enumerates every interleaving, so its bounds
-    // are hard: a 4-node or 2-line exploration would not terminate in
-    // any useful time, and a loss budget above 1 squares the already
-    // exponential branching.
+    // are hard: a 4-node exploration would not terminate in any useful
+    // time, and a loss budget above 1 squares the already exponential
+    // branching.
     const McConfig &mcc = mc;
     if (mcc.nodes < 2 || mcc.nodes > 3)
         return csprintf("mc.nodes must be 2 or 3 (exhaustive "
                         "exploration is exponential in nodes), got %d",
                         mcc.nodes);
-    if (mcc.lines != 1)
-        return csprintf("mc.lines must be exactly 1 (the explorer "
-                        "models a single synchronization line), got %d",
-                        mcc.lines);
     if (mcc.ops_per_proc < 1 || mcc.ops_per_proc > 4)
         return csprintf("mc.ops_per_proc must be in [1, 4], got %d",
                         mcc.ops_per_proc);

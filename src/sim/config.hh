@@ -574,8 +574,6 @@ struct McConfig
     int nodes = 2;
     /** Universal primitive each processor's fetch&add program uses. */
     Primitive primitive = Primitive::FAP;
-    /** Synchronization cache lines explored (exactly 1 for now). */
-    int lines = 1;
     /** Atomic operations each processor's program issues (1..4). */
     int ops_per_proc = 1;
     /**

@@ -39,10 +39,12 @@ class TimeSeries
   public:
     using Getter = std::function<std::uint64_t()>;
 
-    /** Apply a TelemetryConfig; must precede registration/sampling. */
-    void configure(const TelemetryConfig &cfg);
+    /** Sample every TelemetryConfig::window, keeping max_windows. */
+    explicit TimeSeries(const TelemetryConfig &cfg)
+        : _window(cfg.window), _cap(cfg.max_windows)
+    {
+    }
 
-    bool enabled() const { return _enabled; }
     Tick window() const { return _window; }
 
     /**
@@ -115,10 +117,9 @@ class TimeSeries
     void sampleAll();
     const Series *findSeries(const std::string &name) const;
 
-    bool _enabled = false;
     bool _finalized = false;
-    Tick _window = 0;
-    std::size_t _cap = 0;
+    Tick _window;
+    std::size_t _cap;
     std::uint64_t _windows_sampled = 0;
     std::uint64_t _windows_evicted = 0;
     Tick _last_boundary = 0;  ///< highest boundary sampled

@@ -187,9 +187,9 @@ TEST(Chaos, ReorderingAbsorbedExactly)
         runAll(sys);
         EXPECT_EQ(sys.debugRead(a), 128u) << "seed " << seed;
         expectAccounted(sys);
-        const FaultPlan::Counters &fc = sys.faultPlan().counters();
+        const FaultPlan::Counters &fc = sys.faults()->counters();
         const Recovery::Counters &rc =
-            sys.recoveryState().counters();
+            sys.recovery()->counters();
         EXPECT_EQ(rc.reorders_delivered, fc.msg_reorders);
         EXPECT_EQ(rc.drops, 0u);
         reorders += fc.msg_reorders;
@@ -212,9 +212,9 @@ TEST(Chaos, DuplicatesAbsorbedExactly)
         runAll(sys);
         EXPECT_EQ(sys.debugRead(a), 128u) << "seed " << seed;
         expectAccounted(sys);
-        const FaultPlan::Counters &fc = sys.faultPlan().counters();
+        const FaultPlan::Counters &fc = sys.faults()->counters();
         const Recovery::Counters &rc =
-            sys.recoveryState().counters();
+            sys.recovery()->counters();
         EXPECT_EQ(rc.dups_absorbed, fc.msg_dups);
         EXPECT_EQ(rc.drops, 0u);
         dups += fc.msg_dups;
@@ -237,9 +237,9 @@ TEST(Chaos, CorruptionDetectedAsDrops)
         runAll(sys);
         EXPECT_EQ(sys.debugRead(a), 128u) << "seed " << seed;
         expectAccounted(sys);
-        const FaultPlan::Counters &fc = sys.faultPlan().counters();
+        const FaultPlan::Counters &fc = sys.faults()->counters();
         const Recovery::Counters &rc =
-            sys.recoveryState().counters();
+            sys.recovery()->counters();
         EXPECT_EQ(rc.corrupt_detected, fc.msg_corruptions);
         EXPECT_EQ(rc.drops, fc.msg_corruptions);
         corruptions += fc.msg_corruptions;
@@ -255,9 +255,7 @@ TEST(Chaos, CorruptionAlwaysLandsInChecksummedFootprint)
     // ledger would never reconcile.
     FaultConfig fc;
     ASSERT_EQ(fc.parse("corrupt_prob=1,req_timeout=2000"), "");
-    FaultPlan plan;
-    MachineConfig mc;
-    plan.configure(fc, 42, mc);
+    FaultPlan plan(fc, 42, MachineConfig{});
     for (int i = 0; i < 256; ++i) {
         Msg m;
         m.type = MsgType::GET_S;
@@ -310,11 +308,11 @@ TEST(Chaos, QuarantineWithReordering)
             EXPECT_EQ(sys.debugRead(ctrs[i]), 48u) << "seed " << seed;
         expectAccounted(sys);
         const Recovery::Counters &rc =
-            sys.recoveryState().counters();
+            sys.recovery()->counters();
         EXPECT_EQ(rc.drops,
                   rc.retransmit_covered + rc.quarantine_covered);
         quarantined += rc.links_quarantined;
-        reorders += sys.faultPlan().counters().msg_reorders;
+        reorders += sys.faults()->counters().msg_reorders;
     }
     EXPECT_GT(quarantined, 0u);
     EXPECT_GT(reorders, 0u);
@@ -383,7 +381,7 @@ TEST(AdaptiveCredit, ThresholdTracksQueueDepthSeries)
     EXPECT_GE(t2, 2);
 
     std::vector<std::uint64_t> v =
-        sys.telemetryState().seriesValues("serve_queue_depth");
+        sys.telemetry()->seriesValues("serve_queue_depth");
     ASSERT_FALSE(v.empty());
     std::uint64_t sum = 0;
     for (std::uint64_t x : v)
@@ -409,7 +407,7 @@ TEST(AdaptiveCredit, StaticThresholdKeepsJsonShape)
     spawnAdders(sys, a, 8, 8);
     runAll(sys);
     EXPECT_TRUE(
-        sys.telemetryState().seriesValues("serve_queue_depth").empty());
+        sys.telemetry()->seriesValues("serve_queue_depth").empty());
     EXPECT_EQ(sys.statsJson().find("serve_queue_depth"),
               std::string::npos);
 }

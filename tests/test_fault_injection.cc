@@ -234,19 +234,81 @@ TEST(FaultConfig, ValidateRejectsBadProbability)
 
 TEST(FaultInjection, ZeroCostWhenOff)
 {
-    System sys(smallConfig());
-    CounterAppResult r = runCounter(sys, Primitive::FAP, 4, 4);
-    ASSERT_TRUE(r.completed);
-    EXPECT_TRUE(r.correct);
-    EXPECT_EQ(sys.faults(), nullptr);
-    EXPECT_EQ(sys.watchdog(), nullptr);
-    const FaultPlan::Counters &c = sys.faultPlan().counters();
-    EXPECT_EQ(c.jitter_applied + c.jitter_cycles + c.resv_drops +
-                  c.forced_evictions + c.nacks_injected,
-              0u);
-    // The stats registry must not even mention the fault domain.
-    EXPECT_EQ(sys.statsJson().find("fault."), std::string::npos);
-    EXPECT_TRUE(checkFaultAccounting(sys).empty());
+    // System owns each optional subsystem only while its Config section
+    // turns it on: the accessor's null pointer is the "off" flag.
+    enum : unsigned
+    {
+        FAULTS = 1,
+        RECOVERY = 2,
+        WATCHDOG = 4,
+        TELEMETRY = 8,
+        LINE_PROF = 16,
+        ADMISSION = 32,
+        ALL = 63,
+    };
+    auto faults = [](Config &c) { ASSERT_EQ(c.faults.parse("1"), ""); };
+    auto recovery = [](Config &c) {
+        ASSERT_EQ(c.faults.parse("drop_prob=0.001,req_timeout=2000"), "");
+    };
+    auto watchdog = [](Config &c) {
+        c.watchdog.enabled = true;
+        c.watchdog.max_retries = 100000;
+    };
+    auto telemetry = [](Config &c) { c.telemetry.enabled = true; };
+    auto openloop = [](Config &c) {
+        ASSERT_EQ(c.openloop.parse("rate=0.01"), "");
+    };
+    struct Case
+    {
+        const char *what;
+        std::function<void(Config &)> arm;
+        unsigned owned;
+    };
+    const Case cases[] = {
+        {"all off", [](Config &) {}, 0},
+        {"faults", faults, FAULTS},
+        {"faults + req_timeout", recovery, FAULTS | RECOVERY},
+        {"watchdog", watchdog, WATCHDOG},
+        {"telemetry", telemetry, TELEMETRY | LINE_PROF},
+        {"openloop", openloop, ADMISSION},
+        {"all on",
+         [&](Config &c) {
+             recovery(c);
+             watchdog(c);
+             telemetry(c);
+             openloop(c);
+         },
+         ALL},
+    };
+    for (const Case &oc : cases) {
+        SCOPED_TRACE(oc.what);
+        Config cfg = smallConfig();
+        oc.arm(cfg);
+        System sys(cfg);
+        EXPECT_EQ(sys.faults() != nullptr, (oc.owned & FAULTS) != 0);
+        EXPECT_EQ(sys.recovery() != nullptr, (oc.owned & RECOVERY) != 0);
+        EXPECT_EQ(sys.watchdog() != nullptr, (oc.owned & WATCHDOG) != 0);
+        EXPECT_EQ(sys.telemetry() != nullptr,
+                  (oc.owned & TELEMETRY) != 0);
+        EXPECT_EQ(sys.lineProfiler() != nullptr,
+                  (oc.owned & LINE_PROF) != 0);
+        EXPECT_EQ(sys.admission() != nullptr,
+                  (oc.owned & ADMISSION) != 0);
+        EXPECT_TRUE(checkFaultAccounting(sys).empty());
+        if (oc.owned == 0) {
+            // Nothing observes the per-op stream, so spins may park.
+            EXPECT_TRUE(sys.spinElision());
+            CounterAppResult r = runCounter(sys, Primitive::FAP, 4, 4);
+            ASSERT_TRUE(r.completed);
+            EXPECT_TRUE(r.correct);
+            // The stats registry must not even mention the fault domain.
+            EXPECT_EQ(sys.statsJson().find("fault."), std::string::npos);
+            EXPECT_TRUE(checkFaultAccounting(sys).empty());
+        }
+        // clearStats() skips what is not owned and resets what is.
+        if (oc.owned == 0 || oc.owned == ALL)
+            sys.clearStats();
+    }
 }
 
 TEST(FaultInjection, DeterministicAtFixedSeed)
@@ -274,7 +336,7 @@ TEST(FaultInjection, DifferentSeedsDiverge)
         System sys(faultyConfig(sync, 100 + i));
         CounterAppResult r = runCounter(sys, Primitive::CAS, 4, 4);
         ASSERT_TRUE(r.completed);
-        jitter[i] = sys.faultPlan().counters().jitter_cycles;
+        jitter[i] = sys.faults()->counters().jitter_cycles;
     }
     EXPECT_NE(jitter[0], jitter[1]);
 }
@@ -293,8 +355,8 @@ TEST(FaultInjection, CampaignAcrossImplMatrix)
             CounterAppResult r = runCounter(sys, impl.prim, 4, 2);
             ASSERT_TRUE(r.completed)
                 << impl.label << " seed " << seed << ":\n"
-                << (sys.watchdogState().tripped()
-                        ? sys.watchdogState().diagnosis()
+                << (sys.watchdog()->tripped()
+                        ? sys.watchdog()->diagnosis()
                         : Watchdog::blockedTxnDump(sys));
             EXPECT_TRUE(r.correct) << impl.label << " seed " << seed;
             for (const std::string &v : checkCoherence(sys))
@@ -303,12 +365,12 @@ TEST(FaultInjection, CampaignAcrossImplMatrix)
             for (const std::string &v : checkFaultAccounting(sys))
                 ADD_FAILURE() << impl.label << " seed " << seed << ": "
                               << v;
-            const FaultPlan::Counters &c = sys.faultPlan().counters();
+            const FaultPlan::Counters &c = sys.faults()->counters();
             total_injected += c.nacks_injected + c.resv_drops +
                               c.forced_evictions + c.jitter_applied;
-            EXPECT_FALSE(sys.watchdogState().tripped())
+            EXPECT_FALSE(sys.watchdog()->tripped())
                 << impl.label << " seed " << seed << ":\n"
-                << sys.watchdogState().diagnosis();
+                << sys.watchdog()->diagnosis();
         }
     }
     // The campaign must actually have exercised the fault paths.
@@ -353,7 +415,7 @@ TEST(Watchdog, LivelockRetryBoundTrips)
         << r.diagnosis;
     EXPECT_NE(r.diagnosis.find("node 1"), std::string::npos)
         << r.diagnosis;
-    EXPECT_EQ(*sys.watchdogState().tripsCounter(), 1u);
+    EXPECT_EQ(*sys.watchdog()->tripsCounter(), 1u);
     sys.reapTasks();
 }
 
@@ -387,6 +449,6 @@ TEST(Watchdog, QuietOnHealthyRun)
     CounterAppResult r = runCounter(sys, Primitive::FAP, 4, 4);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.correct);
-    EXPECT_FALSE(sys.watchdogState().tripped());
-    EXPECT_EQ(*sys.watchdogState().tripsCounter(), 0u);
+    EXPECT_FALSE(sys.watchdog()->tripped());
+    EXPECT_EQ(*sys.watchdog()->tripsCounter(), 0u);
 }

@@ -5,7 +5,6 @@
 
 #include "helpers.hh"
 #include "sync/mcs_lock.hh"
-#include "sync/ticket_lock.hh"
 #include "sync/tts_lock.hh"
 
 using namespace dsmtest;
@@ -82,24 +81,6 @@ criticalSections(Proc &p, Lock &lock, Addr counter, Addr inside, int n,
     }
 }
 
-/** Ticket lock needs the ticket threaded through. */
-Task
-ticketSections(Proc &p, TicketLock &lock, Addr counter, Addr inside,
-               int n, bool *violation)
-{
-    for (int i = 0; i < n; ++i) {
-        Word t = co_await lock.acquire(p);
-        if ((co_await p.load(inside)).value != 0)
-            *violation = true;
-        co_await p.store(inside, 1);
-        Word v = (co_await p.load(counter)).value;
-        co_await p.compute(3);
-        co_await p.store(counter, v + 1);
-        co_await p.store(inside, 0);
-        co_await lock.release(p, t);
-    }
-}
-
 } // namespace
 
 class TtsLockMatrix : public testing::TestWithParam<LockCase>
@@ -152,33 +133,6 @@ TEST_P(McsLockMatrix, MutualExclusionAndProgress)
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, McsLockMatrix,
-                         testing::ValuesIn(allCases()), caseName);
-
-class TicketLockMatrix : public testing::TestWithParam<LockCase>
-{
-};
-
-TEST_P(TicketLockMatrix, MutualExclusionAndFifoProgress)
-{
-    System sys(caseConfig(GetParam()));
-    TicketLock lock(sys, GetParam().prim);
-    Addr counter = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
-    Addr inside = sys.alloc(BLOCK_BYTES, BLOCK_BYTES);
-    bool violation = false;
-    const int per_proc = 6;
-    for (NodeId n = 0; n < sys.numProcs(); ++n)
-        sys.spawn(ticketSections(sys.proc(n), lock, counter, inside,
-                                 per_proc, &violation));
-    runAll(sys);
-    EXPECT_FALSE(violation);
-    EXPECT_EQ(sys.debugRead(counter),
-              static_cast<Word>(sys.numProcs() * per_proc));
-    // All tickets consumed: next == serving.
-    EXPECT_EQ(sys.debugRead(lock.nextTicketAddr()),
-              sys.debugRead(lock.nowServingAddr()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Matrix, TicketLockMatrix,
                          testing::ValuesIn(allCases()), caseName);
 
 TEST(Locks, UncontendedTtsAcquireIsCheap)

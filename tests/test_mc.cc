@@ -154,8 +154,6 @@ TEST(McConfig, ValidationRejectsOutOfBounds)
           "mc.nodes" },
         { "nodes too small", [](Config &c) { c.mc.nodes = 1; },
           "mc.nodes" },
-        { "multi-line", [](Config &c) { c.mc.lines = 2; },
-          "mc.lines" },
         { "zero ops", [](Config &c) { c.mc.ops_per_proc = 0; },
           "mc.ops_per_proc" },
         { "too many ops", [](Config &c) { c.mc.ops_per_proc = 5; },

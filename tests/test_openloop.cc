@@ -180,8 +180,7 @@ TEST(AdmissionQueues, BoundsDepthAndCountsSheds)
     cfg.rate_ppc = 0.01;
     cfg.queue_cap = 2;
     cfg.slo_cycles = 10;
-    AdmissionQueues adm;
-    adm.configure(cfg, 2);
+    AdmissionQueues adm(cfg, 2);
 
     EXPECT_TRUE(adm.offer(0, 100));
     EXPECT_TRUE(adm.offer(0, 101));
@@ -233,7 +232,7 @@ TEST(OpenLoopRun, ServesEveryAdmittedArrivalExactly)
     EXPECT_GT(r.sojourn_max, 0u);
     EXPECT_GE(r.sojourn_p999, r.sojourn_p99);
     EXPECT_GE(r.sojourn_p99, r.sojourn_p50);
-    const OpenLoopStats &os = sys.admissionState().stats();
+    const OpenLoopStats &os = sys.admission()->stats();
     EXPECT_EQ(os.completed, r.completed);
     EXPECT_EQ(os.sojourn.count, r.completed);
 
@@ -273,7 +272,7 @@ TEST(OpenLoopRun, OverloadShedsAtTheConfiguredCap)
     EXPECT_TRUE(r.correct);
     EXPECT_GT(r.rejected, 0u);
     // Depth observed on arrival can never exceed the cap.
-    EXPECT_LE(sys.admissionState().stats().depth_on_arrival.max(), 1u);
+    EXPECT_LE(sys.admission()->stats().depth_on_arrival.max(), 1u);
     EXPECT_GT(r.slo_violations, 0u);
     EXPECT_GT(r.slo_frac, 0.0);
 }

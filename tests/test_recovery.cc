@@ -94,11 +94,8 @@ TEST(Recovery, ZeroCostWhenOff)
     spawnAdders(sys, a, 4, 8);
     runAll(sys);
     EXPECT_EQ(sys.debugRead(a), 32u);
+    // No ledger exists, so nothing can count a drop.
     EXPECT_EQ(sys.recovery(), nullptr);
-    const Recovery::Counters &rc = sys.recoveryState().counters();
-    EXPECT_EQ(rc.drops + rc.retransmits + rc.dup_requests +
-                  rc.stale_replies + rc.links_quarantined,
-              0u);
     // The stats registry must not even mention the recovery domain.
     EXPECT_EQ(sys.statsJson().find("recovery."), std::string::npos);
     expectAccounted(sys);
@@ -132,7 +129,7 @@ TEST(Recovery, DuplicateFapAnsweredFromCacheUncached)
     runAll(sys);
     EXPECT_EQ(sys.debugRead(a), 32u);
 
-    const Recovery::Counters &rc = sys.recoveryState().counters();
+    const Recovery::Counters &rc = sys.recovery()->counters();
     EXPECT_GT(rc.retransmits, 0u);
     EXPECT_GT(rc.dup_requests, 0u);
     // Duplicates of an executed UNC FAP are answered from the cache,
@@ -157,7 +154,7 @@ TEST(Recovery, DuplicateFapExactUnderEveryPolicy)
         spawnAdders(sys, a, 8, 6);
         runAll(sys);
         EXPECT_EQ(sys.debugRead(a), 48u) << toString(pol);
-        EXPECT_GT(sys.recoveryState().counters().dup_requests, 0u)
+        EXPECT_GT(sys.recovery()->counters().dup_requests, 0u)
             << toString(pol);
         expectAccounted(sys);
     }
@@ -199,7 +196,7 @@ TEST(Recovery, StaleDuplicateOfRetiredSeqIsDiscarded)
 
     // Discarded: no re-execution, no reply, counted as stale.
     EXPECT_EQ(sys.debugRead(a), 2u);
-    const Recovery::Counters &rc = sys.recoveryState().counters();
+    const Recovery::Counters &rc = sys.recovery()->counters();
     EXPECT_EQ(rc.dup_requests, 1u);
     EXPECT_EQ(rc.dup_stale, 1u);
     EXPECT_EQ(rc.dup_replayed, 0u);
@@ -226,10 +223,10 @@ TEST(Recovery, RandomLossRecoversExactly)
                 << toString(pol) << " seed " << seed;
             expectAccounted(sys);
             const Recovery::Counters &rc =
-                sys.recoveryState().counters();
+                sys.recovery()->counters();
             EXPECT_EQ(rc.drops,
                       rc.retransmit_covered + rc.quarantine_covered);
-            EXPECT_EQ(sys.recoveryState().pendingDrops(), 0u);
+            EXPECT_EQ(sys.recovery()->pendingDrops(), 0u);
             drops += rc.drops;
             retransmits += rc.retransmits;
         }
@@ -256,7 +253,7 @@ TEST(Recovery, FlakyLinkQuarantineAndReroute)
             "quarantine_window=1000000",
             seed);
         System sys(cfg);
-        ASSERT_EQ(sys.faultPlan().episodes().size(), 2u);
+        ASSERT_EQ(sys.faults()->episodes().size(), 2u);
         Addr ctrs[4];
         const NodeId homes[4] = {0, 2, 5, 7};
         for (int i = 0; i < 4; ++i)
@@ -271,11 +268,11 @@ TEST(Recovery, FlakyLinkQuarantineAndReroute)
         for (int i = 0; i < 4; ++i)
             EXPECT_EQ(sys.debugRead(ctrs[i]), 48u) << "seed " << seed;
         expectAccounted(sys);
-        const Recovery::Counters &rc = sys.recoveryState().counters();
+        const Recovery::Counters &rc = sys.recovery()->counters();
         EXPECT_EQ(rc.drops,
                   rc.retransmit_covered + rc.quarantine_covered);
         quarantined += rc.links_quarantined;
-        flaky += sys.faultPlan().counters().flaky_drops;
+        flaky += sys.faults()->counters().flaky_drops;
         if (rc.links_quarantined > 0) {
             // The quarantine must be observable in the stats output
             // (the registry nests dotted names).
@@ -367,9 +364,9 @@ TEST(Recovery, ClearStatsCarriesPendingLedger)
     runAll(sys);
     EXPECT_EQ(sys.debugRead(a), 64u);
     sys.clearStats();
-    const Recovery::Counters &rc = sys.recoveryState().counters();
+    const Recovery::Counters &rc = sys.recovery()->counters();
     EXPECT_EQ(rc.drops, 0u);
-    EXPECT_EQ(sys.recoveryState().pendingDrops(), 0u);
+    EXPECT_EQ(sys.recovery()->pendingDrops(), 0u);
     expectAccounted(sys);
 
     // A second measured phase on the cleared counters still closes.

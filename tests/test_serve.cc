@@ -372,7 +372,7 @@ TEST(Backpressure, ShedsAtTheAdmissionEdgeUnderOverload)
     const ServeStats &st = sys.serveStats();
     EXPECT_GT(st.throttle_events, 0u) << "no requester ever throttled";
     EXPECT_GT(st.throttle_cycles, 0u);
-    const OpenLoopStats &os = sys.admissionState().stats();
+    const OpenLoopStats &os = sys.admission()->stats();
     EXPECT_GT(os.rejected_throttled, 0u) << "throttle never reached "
                                             "the admission edge";
     EXPECT_LE(os.rejected_throttled, os.rejected);
@@ -472,7 +472,7 @@ TEST(ServeFaults, LedgerClosesUnderLossAndOverload)
     for (const std::string &v : checkFaultAccounting(sys))
         ADD_FAILURE() << v;
     // Anti-vacuous: the run must actually lose messages and combine.
-    EXPECT_GT(sys.faultPlan().counters().msg_drops, 0u);
+    EXPECT_GT(sys.faults()->counters().msg_drops, 0u);
     const ServeStats &st = sys.serveStats();
     EXPECT_EQ(st.served, st.slots + st.coalesced);
     EXPECT_GT(st.coalesced, 0u);

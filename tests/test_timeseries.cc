@@ -31,8 +31,7 @@ TEST(TimeSeriesUnit, DeltasGaugesAndRingEviction)
     tc.enabled = true;
     tc.window = 10;
     tc.max_windows = 4;
-    TimeSeries ts;
-    ts.configure(tc);
+    TimeSeries ts(tc);
 
     std::uint64_t ctr = 0, g = 0;
     ts.addDelta("ctr", [&] { return ctr; });
