@@ -1,66 +1,38 @@
 /**
  * @file
- * Cross-run perf-regression gate over dsm-bench-v1 reports.
+ * Exact cross-run gate over dsm-bench-v1 reports.
  *
  * Usage:
- *   bench_diff [--threshold-scale X] <baseline> <candidate>
+ *   bench_diff <baseline> <candidate>
  *
  * Each operand is either one BENCH_*.json file or a directory of them
  * (directories are matched by filename; a baseline bench missing from
  * the candidate is an error, extra candidate benches are ignored).
- * Per-metric noise thresholds live in src/stats/bench_diff.cc; only
- * changes in the harmful direction fail the gate.
+ * Every result field and every meta field but the host provenance
+ * (git_sha, wall_ms, host_cores) must match exactly; see
+ * src/stats/bench_diff.hh.
  *
- * Exit status: 0 = within thresholds, 1 = regression detected,
+ * Exit status: 0 = identical, 1 = some field differs,
  * 2 = usage, parse, or structure error.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 
 #include "stats/bench_diff.hh"
 
-namespace {
-
-[[noreturn]] void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: bench_diff [--threshold-scale X] "
-                 "<baseline> <candidate>\n"
-                 "  operands are BENCH_*.json files or directories of "
-                 "them\n");
-    std::exit(2);
-}
-
-} // anonymous namespace
-
 int
 main(int argc, char **argv)
 {
-    dsm::DiffOptions opt;
-    std::string base, cand;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strcmp(a, "--threshold-scale") == 0 && i + 1 < argc) {
-            opt.threshold_scale = std::atof(argv[++i]);
-        } else if (std::strncmp(a, "--threshold-scale=", 18) == 0) {
-            opt.threshold_scale = std::atof(a + 18);
-        } else if (a[0] == '-') {
-            usage();
-        } else if (base.empty()) {
-            base = a;
-        } else if (cand.empty()) {
-            cand = a;
-        } else {
-            usage();
-        }
+    if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
+        std::fprintf(stderr,
+                     "usage: bench_diff <baseline> <candidate>\n"
+                     "  operands are BENCH_*.json files or directories of "
+                     "them\n");
+        return 2;
     }
-    if (base.empty() || cand.empty() || opt.threshold_scale < 0)
-        usage();
+    std::string base = argv[1], cand = argv[2];
 
     namespace fs = std::filesystem;
     bool base_dir = fs::is_directory(base);
@@ -71,11 +43,10 @@ main(int argc, char **argv)
                      "be directories\n");
         return 2;
     }
-    dsm::DiffResult res = base_dir
-                              ? dsm::diffBenchDirs(base, cand, opt)
-                              : dsm::diffBenchFiles(base, cand, opt);
+    dsm::DiffResult res = base_dir ? dsm::diffBenchDirs(base, cand)
+                                   : dsm::diffBenchFiles(base, cand);
     std::fputs(dsm::renderDiff(res).c_str(), stdout);
     if (!res.errors.empty())
         return 2;
-    return res.regressions.empty() ? 0 : 1;
+    return res.diffs.empty() ? 0 : 1;
 }

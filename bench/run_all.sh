@@ -1,40 +1,41 @@
 #!/bin/sh
-# Run every benchmark binary and collect the machine-readable outputs.
+# Run every report's canonical invocation and collect the outputs.
 #
 # Usage: bench/run_all.sh [--jobs N] [--seed S] [--trace BENCH]
-#        [--timeseries BENCH] [--openloop[=SPEC]] [--overload[=SPEC]]
-#        [build-dir] [output-dir]
+#        [--timeseries BENCH] [build-dir] [output-dir]
 #
-# Each binary prints its usual text tables and writes BENCH_<name>.json
-# (schema dsm-bench-v1; simcore_microbench writes google-benchmark's
-# JSON) into the output directory. The output directory defaults to
-# $DSM_BENCH_DIR if set, else ./bench-results; an explicit output-dir
-# argument overrides both. --jobs N (or DSM_JOBS) is passed through to
-# the binaries so each sweep runs its points on N host threads.
-# --trace BENCH runs that benchmark with transaction tracing on
-# (DSM_TXN_TRACE=1), writing TRACE_<name>.json next to its
-# BENCH_<name>.json; open it at https://ui.perfetto.dev.
-# --timeseries BENCH runs that benchmark with time-resolved telemetry
-# on (DSM_TIMESERIES=1), writing TIMESERIES_<name>.json plus a
-# self-contained TIMESERIES_<name>.html report (open it in a browser).
-# --seed S exports DSM_SEED=S so every sweep's simulated machines use
-# seed S (recorded in each report's meta.seed); the fault campaign
-# instead uses S as the base of its per-point seed range.
-# Campaigns are listed by report name: <profile>_sweep runs
-# `campaign <profile>`, writing BENCH_<profile>_sweep.json.
-# --openloop appends the open-loop serving campaign (openloop_sweep) to
-# the bench list; --openloop=SPEC additionally exports DSM_OPENLOOP=SPEC
-# so the campaign replaces its built-in load axis with the given level.
-# --overload appends the overload/graceful-degradation campaign
-# (overload_sweep); --overload=SPEC additionally exports DSM_SERVE=SPEC
-# so the campaign replaces its mechanism axis with the given mode.
+# The list at the bottom is the one place that says how each of the 17
+# reports is produced; bench/baselines/ holds the BENCH_<report>.json
+# each invocation writes, and
+#     build/bench/bench_diff bench/baselines <output-dir>
+# checks a run against them exactly. Each binary's text tables go to
+# stdout and to <output-dir>/<report>.txt. The script runs every
+# report, then exits 1 if any binary exited nonzero.
+#
+# The output directory defaults to $DSM_BENCH_DIR if set, else
+# ./bench-results; an explicit output-dir argument overrides both.
+# --jobs N is passed through so each sweep runs its points on N host
+# threads; results do not depend on N. --seed S exports DSM_SEED=S so
+# every sweep's simulated machines use seed S (recorded in each
+# report's meta.seed); the campaigns instead use S as the base of their
+# per-point seed range.
+# --trace BENCH runs that report with transaction tracing on
+# (DSM_TXN_TRACE=1), writing TRACE_<bench>.json next to its
+# BENCH_<bench>.json (open it at https://ui.perfetto.dev); table1 is
+# always traced, because its baseline rows carry the txn_* fields.
+# --timeseries BENCH runs that report with time-resolved telemetry on
+# (DSM_TIMESERIES=1), writing TIMESERIES_<bench>.json plus a
+# self-contained TIMESERIES_<bench>.html. Both flags may be repeated.
+# DSM_OPENLOOP=SPEC and DSM_SERVE=SPEC, if set, replace the open-loop
+# campaign's load axis and the overload campaign's mechanism axis.
+# --seed, --trace, DSM_OPENLOOP and DSM_SERVE change what the reports
+# hold, so such a run does not match the baselines; --timeseries and
+# --jobs do not.
 set -eu
 
 jobs=
-trace_bench=
-ts_bench=
-openloop=
-overload=
+traced=" table1_serialized_messages "
+ts_benches=" "
 while :; do
     case "${1:-}" in
     --jobs)
@@ -56,39 +57,19 @@ while :; do
         shift
         ;;
     --trace)
-        trace_bench=$2
+        traced="$traced$2 "
         shift 2
         ;;
     --trace=*)
-        trace_bench=${1#--trace=}
+        traced="$traced${1#--trace=} "
         shift
         ;;
     --timeseries)
-        ts_bench=$2
+        ts_benches="$ts_benches$2 "
         shift 2
         ;;
     --timeseries=*)
-        ts_bench=${1#--timeseries=}
-        shift
-        ;;
-    --openloop)
-        openloop=1
-        shift
-        ;;
-    --openloop=*)
-        openloop=1
-        DSM_OPENLOOP=${1#--openloop=}
-        export DSM_OPENLOOP
-        shift
-        ;;
-    --overload)
-        overload=1
-        shift
-        ;;
-    --overload=*)
-        overload=1
-        DSM_SERVE=${1#--overload=}
-        export DSM_SERVE
+        ts_benches="$ts_benches${1#--timeseries=} "
         shift
         ;;
     *)
@@ -113,69 +94,59 @@ export DSM_BENCH_DIR
 DSM_QUIET=1
 export DSM_QUIET
 
-benches="
-table1_serialized_messages
-fig2_contention_histograms
-fig3_lockfree_counter
-fig4_tts_counter
-fig5_mcs_counter
-fig6_applications
-ablation_backoff
-ablation_machine
-ablation_serial_llsc
-ablation_reservations
-ablation_barrier
-fault_sweep
-simcore_microbench
-"
-if [ -n "$openloop" ]; then
-    benches="$benches
-openloop_sweep
-"
-fi
-if [ -n "$overload" ]; then
-    benches="$benches
-overload_sweep
-"
-fi
+failed=
 
-for b in $benches; do
-    case $b in
-    *_sweep)
-        bin="$build_dir/bench/campaign"
-        set -- "${b%_sweep}"
-        ;;
-    *)
-        bin="$build_dir/bench/$b"
-        set --
-        ;;
+# run REPORT BINARY [ARG...]: one canonical invocation, writing
+# BENCH_REPORT.json.
+run() {
+    report=$1
+    bin=$build_dir/bench/$2
+    shift 2
+    echo "==> $report"
+    case $traced in
+    *" $report "*) DSM_TXN_TRACE=1 && export DSM_TXN_TRACE ;;
+    *) unset DSM_TXN_TRACE || true ;;
     esac
-    if [ ! -x "$bin" ]; then
-        echo "skipping $b (not built)" >&2
-        continue
-    fi
-    echo "==> $b"
-    if [ "$b" = "$trace_bench" ]; then
-        DSM_TXN_TRACE=1
-        export DSM_TXN_TRACE
-    else
-        unset DSM_TXN_TRACE || true
-    fi
-    if [ "$b" = "$ts_bench" ]; then
-        DSM_TIMESERIES=1
-        export DSM_TIMESERIES
-    else
-        unset DSM_TIMESERIES || true
-    fi
+    case $ts_benches in
+    *" $report "*) DSM_TIMESERIES=1 && export DSM_TIMESERIES ;;
+    *) unset DSM_TIMESERIES || true ;;
+    esac
     if [ -n "$jobs" ]; then
-        "$bin" "$@" --jobs "$jobs" | tee "$DSM_BENCH_DIR/$b.txt"
-    else
-        "$bin" "$@" | tee "$DSM_BENCH_DIR/$b.txt"
+        set -- "$@" --jobs "$jobs"
+    fi
+    status=0
+    "$bin" "$@" </dev/null >"$DSM_BENCH_DIR/$report.txt" || status=$?
+    cat "$DSM_BENCH_DIR/$report.txt"
+    if [ "$status" -ne 0 ]; then
+        echo "error: $report exited with status $status" >&2
+        failed="$failed $report"
     fi
     echo
-done
+}
+
+run table1_serialized_messages table1_serialized_messages
+run fig2_contention_histograms fig2_contention_histograms
+run fig3_lockfree_counter fig3_lockfree_counter
+run fig4_tts_counter fig4_tts_counter
+run fig5_mcs_counter fig5_mcs_counter
+run fig6_applications fig6_applications
+run ablation_backoff ablation_backoff
+run ablation_machine ablation_machine
+run ablation_serial_llsc ablation_serial_llsc
+run ablation_reservations ablation_reservations
+run ablation_barrier ablation_barrier
+run fault_sweep campaign fault --seeds 8
+run recovery_sweep campaign recovery --seeds 2
+run chaos_sweep campaign chaos --seeds 2
+run openloop_sweep campaign openloop
+run overload_sweep campaign overload
+run mc_explore mc_explore
 
 echo "collected reports in $DSM_BENCH_DIR:"
 ls -1 "$DSM_BENCH_DIR"/BENCH_*.json
 ls -1 "$DSM_BENCH_DIR"/TRACE_*.json 2>/dev/null || true
 ls -1 "$DSM_BENCH_DIR"/TIMESERIES_* 2>/dev/null || true
+if [ -n "$failed" ]; then
+    echo "error: failed:$failed" >&2
+    exit 1
+fi

@@ -1,9 +1,10 @@
 #include "stats/bench_diff.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "sim/json.hh"
@@ -13,56 +14,11 @@ namespace dsm {
 
 namespace {
 
-/**
- * Per-metric noise model. Only the harmful direction is gated;
- * @c abs_slack absorbs fixed-cost jitter on tiny counts (a NACK count
- * moving 2 -> 3 is +50% but meaningless).
- */
-struct MetricRule
+/** meta keys that describe the host run, not the simulated result. */
+bool
+isProvenance(const std::string &key)
 {
-    const char *name;
-    bool higher_is_bad;
-    double rel_pct;   ///< relative threshold, percent of baseline
-    double abs_slack; ///< ignore changes at or below this magnitude
-};
-
-const MetricRule METRIC_RULES[] = {
-    {"ops", false, 5.0, 16.0},
-    {"mean_latency", true, 5.0, 8.0},
-    {"p50", true, 10.0, 16.0},
-    {"p95", true, 10.0, 16.0},
-    {"p99", true, 10.0, 32.0},
-    // Deep-tail percentiles wobble more than the body of the
-    // distribution: wider relative band, larger fixed slack.
-    {"p999", true, 15.0, 64.0},
-    {"messages", true, 5.0, 64.0},
-    {"flits", true, 5.0, 256.0},
-    {"nacks", true, 10.0, 64.0},
-    {"retries", true, 10.0, 64.0},
-    {"ticks", true, 5.0, 256.0},
-    {"avg_cycles_per_update", true, 5.0, 8.0},
-    // Open-loop serving metrics (openloop_sweep): losing throughput or
-    // growing the sojourn tail is the harmful direction; slo_frac is a
-    // ratio in [0, 1], so gate it on absolute movement only.
-    {"throughput", false, 5.0, 0.0},
-    {"slo_frac", true, 0.0, 0.02},
-    // Overload campaign (overload_sweep): goodput falling or shedding
-    // growing is the harmful direction; shed_frac, like slo_frac, is a
-    // ratio in [0, 1] and gates on absolute movement only.
-    {"goodput", false, 5.0, 0.0},
-    {"shed_frac", true, 0.0, 0.02},
-    {"sojourn_p50", true, 10.0, 32.0},
-    {"sojourn_p99", true, 10.0, 64.0},
-    {"sojourn_p999", true, 15.0, 128.0},
-};
-
-const MetricRule *
-findRule(const std::string &name)
-{
-    for (const MetricRule &r : METRIC_RULES)
-        if (name == r.name)
-            return &r;
-    return nullptr;
+    return key == "git_sha" || key == "wall_ms" || key == "host_cores";
 }
 
 /** Row identity: every string-valued field, in order. */
@@ -82,24 +38,110 @@ rowLabel(const JsonValue &row, int index)
     return label;
 }
 
+/**
+ * A scalar rendered as JSON, numbers in their shortest exact decimal:
+ * two scalars are equal exactly when their renderings are.
+ */
+std::string
+render(const JsonValue &v)
+{
+    switch (v.kind) {
+      case JsonValue::Kind::BOOL:
+        return v.boolean ? "true" : "false";
+      case JsonValue::Kind::NUMBER: {
+        char buf[512]; // fits any double in fixed notation
+        auto r = std::to_chars(buf, buf + sizeof buf, v.number,
+                               std::chars_format::fixed);
+        return std::string(buf, r.ptr);
+      }
+      case JsonValue::Kind::STRING:
+        return '"' + jsonEscape(v.string) + '"';
+      default:
+        return "null";
+    }
+}
+
+/**
+ * The @p n-th member named @p key: a row may repeat a key, and each
+ * occurrence is compared with the same occurrence on the other side.
+ */
+const JsonValue *
+findNth(const JsonValue &obj, const std::string &key, int n)
+{
+    for (const auto &[k, v] : obj.object)
+        if (k == key && n-- == 0)
+            return &v;
+    return nullptr;
+}
+
+/** Compares one row (or the meta object) of a report pair. */
+struct Walker
+{
+    DiffResult &res;
+    const std::string &bench;
+    const std::string &row;
+
+    void
+    error(const std::string &path, const std::string &what)
+    {
+        res.errors.push_back(bench + " [" + row + "] " + path + ": " +
+                             what);
+    }
+
+    void
+    compare(const std::string &path, const JsonValue &b,
+            const JsonValue &c)
+    {
+        auto child = [&](const std::string &k) {
+            return path.empty() ? k : path + '.' + k;
+        };
+        if (b.isObject() && c.isObject()) {
+            std::map<std::string, int> seen;
+            for (const auto &[k, bv] : b.object) {
+                if (const JsonValue *cv = findNth(c, k, seen[k]++))
+                    compare(child(k), bv, *cv);
+                else
+                    error(child(k), "missing from candidate");
+            }
+            seen.clear();
+            for (const auto &[k, cv] : c.object)
+                if (findNth(b, k, seen[k]++) == nullptr)
+                    error(child(k), "not in baseline");
+        } else if (b.isArray() && c.isArray()) {
+            if (b.array.size() != c.array.size()) {
+                error(path, csprintf("length changed %zu -> %zu",
+                                     b.array.size(), c.array.size()));
+                return;
+            }
+            for (std::size_t i = 0; i < b.array.size(); ++i)
+                compare(csprintf("%s[%zu]", path.c_str(), i), b.array[i],
+                        c.array[i]);
+        } else if (b.isObject() || b.isArray() || c.isObject() ||
+                   c.isArray()) {
+            error(path, "type changed");
+        } else {
+            ++res.fields_compared;
+            std::string bs = render(b), cs = render(c);
+            if (bs != cs)
+                res.diffs.push_back({bench, row, path, bs, cs});
+        }
+    }
+};
+
 } // anonymous namespace
 
 void
 DiffResult::merge(const DiffResult &other)
 {
-    regressions.insert(regressions.end(), other.regressions.begin(),
-                       other.regressions.end());
-    improvements.insert(improvements.end(), other.improvements.begin(),
-                        other.improvements.end());
+    diffs.insert(diffs.end(), other.diffs.begin(), other.diffs.end());
     errors.insert(errors.end(), other.errors.begin(),
                   other.errors.end());
     rows_compared += other.rows_compared;
-    metrics_compared += other.metrics_compared;
+    fields_compared += other.fields_compared;
 }
 
 DiffResult
-diffBenchReports(const JsonValue &base, const JsonValue &cand,
-                 const DiffOptions &opt)
+diffBenchReports(const JsonValue &base, const JsonValue &cand)
 {
     DiffResult res;
     if (base.str("schema") != "dsm-bench-v1" ||
@@ -114,11 +156,15 @@ diffBenchReports(const JsonValue &base, const JsonValue &cand,
                              "\"");
         return res;
     }
+    const JsonValue *bmeta = base.find("meta");
+    const JsonValue *cmeta = cand.find("meta");
     const JsonValue *brows = base.find("results");
     const JsonValue *crows = cand.find("results");
-    if (brows == nullptr || !brows->isArray() || crows == nullptr ||
-        !crows->isArray()) {
-        res.errors.push_back(bench + ": missing results array");
+    if (bmeta == nullptr || !bmeta->isObject() || cmeta == nullptr ||
+        !cmeta->isObject() || brows == nullptr || !brows->isArray() ||
+        crows == nullptr || !crows->isArray()) {
+        res.errors.push_back(bench + ": missing meta object or results "
+                                     "array");
         return res;
     }
     if (brows->array.size() != crows->array.size()) {
@@ -128,17 +174,22 @@ diffBenchReports(const JsonValue &base, const JsonValue &cand,
         return res;
     }
 
+    auto simulated = [](const JsonValue &meta) {
+        JsonValue out = meta;
+        std::erase_if(out.object,
+                      [](const auto &kv) { return isProvenance(kv.first); });
+        return out;
+    };
+    const std::string meta_row = "meta";
+    Walker{res, bench, meta_row}.compare("", simulated(*bmeta),
+                                         simulated(*cmeta));
+
     for (std::size_t i = 0; i < brows->array.size(); ++i) {
         const JsonValue &br = brows->array[i];
         const JsonValue &cr = crows->array[i];
-        if (!br.isObject() || !cr.isObject()) {
-            res.errors.push_back(
-                csprintf("%s: row %zu is not an object", bench.c_str(), i));
-            continue;
-        }
         std::string label = rowLabel(br, static_cast<int>(i));
         // Identifying string fields must agree, or the sweep shape
-        // changed and per-metric comparison would be meaningless.
+        // changed and field-by-field comparison would be meaningless.
         if (rowLabel(cr, static_cast<int>(i)) != label) {
             res.errors.push_back(
                 bench + ": row identity changed: baseline [" + label +
@@ -147,41 +198,7 @@ diffBenchReports(const JsonValue &base, const JsonValue &cand,
             continue;
         }
         ++res.rows_compared;
-
-        for (const auto &[key, bval] : br.object) {
-            const MetricRule *rule = findRule(key);
-            if (rule == nullptr || !bval.isNumber())
-                continue;
-            const JsonValue *cval = cr.find(key);
-            if (cval == nullptr || !cval->isNumber()) {
-                res.errors.push_back(bench + " [" + label +
-                                     "]: metric " + key +
-                                     " missing from candidate");
-                continue;
-            }
-            ++res.metrics_compared;
-            double b = bval.number, c = cval->number;
-            double diff = c - b;
-            if (std::abs(diff) <= rule->abs_slack)
-                continue;
-            double change_pct = b != 0.0
-                                    ? 100.0 * diff / b
-                                    : (diff > 0 ? 100.0 : -100.0);
-            double limit = rule->rel_pct * opt.threshold_scale;
-            bool harmful = rule->higher_is_bad ? diff > 0 : diff < 0;
-            if (std::abs(change_pct) <= limit)
-                continue;
-            DiffFinding f;
-            f.bench = bench;
-            f.row = label;
-            f.metric = key;
-            f.base = b;
-            f.cand = c;
-            f.change_pct = change_pct;
-            f.threshold_pct = limit;
-            (harmful ? res.regressions : res.improvements)
-                .push_back(std::move(f));
-        }
+        Walker{res, bench, label}.compare("", br, cr);
     }
     return res;
 }
@@ -209,8 +226,7 @@ loadJsonFile(const std::string &path, JsonValue *out, std::string *err)
 } // anonymous namespace
 
 DiffResult
-diffBenchFiles(const std::string &base_path, const std::string &cand_path,
-               const DiffOptions &opt)
+diffBenchFiles(const std::string &base_path, const std::string &cand_path)
 {
     DiffResult res;
     JsonValue base, cand;
@@ -220,12 +236,11 @@ diffBenchFiles(const std::string &base_path, const std::string &cand_path,
         res.errors.push_back(err);
         return res;
     }
-    return diffBenchReports(base, cand, opt);
+    return diffBenchReports(base, cand);
 }
 
 DiffResult
-diffBenchDirs(const std::string &base_dir, const std::string &cand_dir,
-              const DiffOptions &opt)
+diffBenchDirs(const std::string &base_dir, const std::string &cand_dir)
 {
     namespace fs = std::filesystem;
     DiffResult res;
@@ -256,7 +271,7 @@ diffBenchDirs(const std::string &base_dir, const std::string &cand_dir,
                                  cand_dir);
             continue;
         }
-        res.merge(diffBenchFiles(base_dir + "/" + n, cand_path, opt));
+        res.merge(diffBenchFiles(base_dir + "/" + n, cand_path));
     }
     return res;
 }
@@ -267,21 +282,12 @@ renderDiff(const DiffResult &r)
     std::string out;
     for (const std::string &e : r.errors)
         out += "ERROR: " + e + "\n";
-    auto line = [&](const char *tag, const DiffFinding &f) {
-        out += csprintf("%s %s [%s] %s: %g -> %g (%+.1f%%, threshold "
-                        "%.1f%%)\n",
-                        tag, f.bench.c_str(), f.row.c_str(),
-                        f.metric.c_str(), f.base, f.cand, f.change_pct,
-                        f.threshold_pct);
-    };
-    for (const DiffFinding &f : r.regressions)
-        line("REGRESSION", f);
-    for (const DiffFinding &f : r.improvements)
-        line("improvement", f);
-    out += csprintf("%d rows, %d metrics compared: %zu regression(s), "
-                    "%zu improvement(s), %zu error(s)\n",
-                    r.rows_compared, r.metrics_compared,
-                    r.regressions.size(), r.improvements.size(),
+    for (const DiffFinding &f : r.diffs)
+        out += "DIFF " + f.bench + " [" + f.row + "] " + f.field + ": " +
+               f.base + " -> " + f.cand + "\n";
+    out += csprintf("%d rows, %d fields compared: %zu difference(s), "
+                    "%zu error(s)\n",
+                    r.rows_compared, r.fields_compared, r.diffs.size(),
                     r.errors.size());
     return out;
 }

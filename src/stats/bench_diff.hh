@@ -1,19 +1,19 @@
 /**
  * @file
- * Cross-run perf-regression comparison of dsm-bench-v1 reports.
+ * Exact cross-run comparison of dsm-bench-v1 reports.
  *
- * diffBenchReports() compares a baseline and a candidate report row by
- * row. Rows are matched by position and verified by their identifying
- * string fields (implementation label, sweep-point label); each known
- * metric is then checked against a per-metric noise threshold in the
- * harmful direction only (latency and traffic up, throughput down). An
- * absolute slack per metric keeps tiny counts from tripping the
- * relative threshold. Everything else — unknown metrics, improvements —
- * is reported informationally, never as a failure.
+ * The simulator is deterministic: an unchanged model reproduces every
+ * field of every report, at any --jobs. So diffBenchReports() compares
+ * a baseline and a candidate exactly. Every field of every row is
+ * compared, nested objects included, and so is the report's meta minus
+ * the host provenance keys (git_sha, wall_ms, host_cores). A change in
+ * either direction is a difference. Rows are matched by position and
+ * verified by their identifying string fields; a changed row count,
+ * row identity, or a field present on one side only is a structural
+ * error.
  *
  * The bench/bench_diff CLI wraps this over files or whole directories
- * of BENCH_*.json snapshots; CI runs it against bench/baselines/ as the
- * perf gate.
+ * of BENCH_*.json snapshots; CI runs it against bench/baselines/.
  */
 
 #ifndef DSM_STATS_BENCH_DIFF_HH
@@ -26,65 +26,47 @@ namespace dsm {
 
 struct JsonValue;
 
-/** Tuning knobs for a comparison. */
-struct DiffOptions
-{
-    /**
-     * Multiplier on every metric's relative threshold (CLI
-     * --threshold-scale): 2.0 doubles the allowed noise, 0 flags any
-     * change beyond the absolute slack.
-     */
-    double threshold_scale = 1.0;
-};
-
-/** One out-of-threshold metric (or notable improvement). */
+/** One field whose value differs between baseline and candidate. */
 struct DiffFinding
 {
-    std::string bench;   ///< bench name from the report
-    std::string row;     ///< row identity (string fields joined)
-    std::string metric;
-    double base = 0.0;
-    double cand = 0.0;
-    double change_pct = 0.0;    ///< signed, relative to base
-    double threshold_pct = 0.0; ///< effective (scaled) threshold
+    std::string bench; ///< bench name from the report
+    std::string row;   ///< row identity (string fields joined), or "meta"
+    std::string field; ///< dotted path within the row or meta
+    std::string base;  ///< baseline value, rendered as JSON
+    std::string cand;  ///< candidate value, rendered as JSON
 };
 
 /** Outcome of comparing one report pair or two snapshot directories. */
 struct DiffResult
 {
-    std::vector<DiffFinding> regressions;
-    std::vector<DiffFinding> improvements; ///< informational only
-    /** Structural problems: schema/bench/row mismatches, parse errors. */
+    std::vector<DiffFinding> diffs;
+    /** Structural problems: schema/bench/row/field mismatches, parse errors. */
     std::vector<std::string> errors;
     int rows_compared = 0;
-    int metrics_compared = 0;
+    int fields_compared = 0; ///< leaf values compared
 
-    bool ok() const { return regressions.empty() && errors.empty(); }
+    bool ok() const { return diffs.empty() && errors.empty(); }
 
     /** Fold another result (e.g. one more file of a directory) in. */
     void merge(const DiffResult &other);
 };
 
 /** Compare two parsed dsm-bench-v1 documents. */
-DiffResult diffBenchReports(const JsonValue &base, const JsonValue &cand,
-                            const DiffOptions &opt = {});
+DiffResult diffBenchReports(const JsonValue &base, const JsonValue &cand);
 
 /** Compare two BENCH_*.json files. */
 DiffResult diffBenchFiles(const std::string &base_path,
-                          const std::string &cand_path,
-                          const DiffOptions &opt = {});
+                          const std::string &cand_path);
 
 /**
  * Compare every BENCH_*.json in @p base_dir against the same-named
  * file in @p cand_dir. A baseline file with no candidate counterpart
- * is an error; extra candidate files are ignored (new benches are not
- * regressions).
+ * is an error; extra candidate files are ignored.
  */
 DiffResult diffBenchDirs(const std::string &base_dir,
-                         const std::string &cand_dir,
-                         const DiffOptions &opt = {});
+                         const std::string &cand_dir);
 
-/** Human-readable rendering, one line per finding/error plus summary. */
+/** Human-readable rendering, one line per difference/error plus summary. */
 std::string renderDiff(const DiffResult &r);
 
 } // namespace dsm

@@ -1,9 +1,7 @@
 /**
  * @file
- * Minimal recursive-descent JSON parser for validating the JSON the
+ * gtest helper over dsm::parseJson for validating the JSON the
  * simulator emits (registry dumps, bench reports, Chrome traces).
- * Test-only: favors clear failure reporting over speed; numbers are
- * held as doubles, which is exact for every counter the tests check.
  */
 
 #ifndef DSM_TESTS_JSON_PARSE_HH
@@ -11,276 +9,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstdlib>
 #include <string>
-#include <utility>
-#include <vector>
+
+#include "sim/json.hh"
 
 namespace dsmtest {
 
-struct JsonValue
-{
-    enum class Kind { NUL, BOOL, NUMBER, STRING, ARRAY, OBJECT };
-
-    Kind kind = Kind::NUL;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    bool isObject() const { return kind == Kind::OBJECT; }
-    bool isArray() const { return kind == Kind::ARRAY; }
-    bool isNumber() const { return kind == Kind::NUMBER; }
-    bool isString() const { return kind == Kind::STRING; }
-
-    /** Object member lookup; nullptr if absent or not an object. */
-    const JsonValue *
-    find(const std::string &key) const
-    {
-        if (kind != Kind::OBJECT)
-            return nullptr;
-        for (const auto &[k, v] : object)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-
-    bool has(const std::string &key) const { return find(key) != nullptr; }
-
-    /** Member's numeric value, or @p fallback if absent/non-numeric. */
-    double
-    num(const std::string &key, double fallback = -1.0) const
-    {
-        const JsonValue *v = find(key);
-        return v != nullptr && v->kind == Kind::NUMBER ? v->number
-                                                       : fallback;
-    }
-
-    /** Member's string value, or "" if absent/non-string. */
-    std::string
-    str(const std::string &key) const
-    {
-        const JsonValue *v = find(key);
-        return v != nullptr && v->kind == Kind::STRING ? v->string : "";
-    }
-};
-
-class JsonParser
-{
-  public:
-    /**
-     * Parse @p text into @p out. On failure returns false and leaves a
-     * human-readable message (with byte offset) in @p err.
-     */
-    static bool
-    parse(const std::string &text, JsonValue *out, std::string *err)
-    {
-        JsonParser p(text);
-        bool ok = p.parseValue(out) &&
-                  (p.skipWs(), p._pos == text.size());
-        if (!ok && err != nullptr) {
-            *err = p._err.empty() ? "trailing characters" : p._err;
-            *err += " at offset " + std::to_string(p._pos);
-        }
-        return ok;
-    }
-
-  private:
-    explicit JsonParser(const std::string &text) : _text(text) {}
-
-    const std::string &_text;
-    std::size_t _pos = 0;
-    std::string _err;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (_err.empty())
-            _err = what;
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (_pos < _text.size() &&
-               std::isspace(static_cast<unsigned char>(_text[_pos])))
-            ++_pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (_pos >= _text.size() || _text[_pos] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++_pos;
-        return true;
-    }
-
-    bool
-    literal(const char *word, std::size_t len)
-    {
-        if (_text.compare(_pos, len, word) != 0)
-            return fail(std::string("bad literal, wanted ") + word);
-        _pos += len;
-        return true;
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        if (!consume('"'))
-            return false;
-        out->clear();
-        while (_pos < _text.size()) {
-            char c = _text[_pos++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (_pos >= _text.size())
-                    break;
-                char e = _text[_pos++];
-                switch (e) {
-                  case '"': out->push_back('"'); break;
-                  case '\\': out->push_back('\\'); break;
-                  case '/': out->push_back('/'); break;
-                  case 'b': out->push_back('\b'); break;
-                  case 'f': out->push_back('\f'); break;
-                  case 'n': out->push_back('\n'); break;
-                  case 'r': out->push_back('\r'); break;
-                  case 't': out->push_back('\t'); break;
-                  case 'u': {
-                    if (_pos + 4 > _text.size())
-                        return fail("truncated \\u escape");
-                    // The emitters only escape control characters, so a
-                    // raw byte is a faithful enough decoding for tests.
-                    unsigned long cp = std::strtoul(
-                        _text.substr(_pos, 4).c_str(), nullptr, 16);
-                    out->push_back(static_cast<char>(cp & 0xff));
-                    _pos += 4;
-                    break;
-                  }
-                  default:
-                    return fail("bad escape");
-                }
-            } else {
-                out->push_back(c);
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseValue(JsonValue *out)
-    {
-        skipWs();
-        if (_pos >= _text.size())
-            return fail("unexpected end of input");
-        char c = _text[_pos];
-        switch (c) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
-          case '"':
-            out->kind = JsonValue::Kind::STRING;
-            return parseString(&out->string);
-          case 't':
-            out->kind = JsonValue::Kind::BOOL;
-            out->boolean = true;
-            return literal("true", 4);
-          case 'f':
-            out->kind = JsonValue::Kind::BOOL;
-            out->boolean = false;
-            return literal("false", 5);
-          case 'n':
-            out->kind = JsonValue::Kind::NUL;
-            return literal("null", 4);
-          default:
-            return parseNumber(out);
-        }
-    }
-
-    bool
-    parseNumber(JsonValue *out)
-    {
-        const char *start = _text.c_str() + _pos;
-        char *end = nullptr;
-        double v = std::strtod(start, &end);
-        if (end == start)
-            return fail("expected a value");
-        out->kind = JsonValue::Kind::NUMBER;
-        out->number = v;
-        _pos += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    bool
-    parseArray(JsonValue *out)
-    {
-        if (!consume('['))
-            return false;
-        out->kind = JsonValue::Kind::ARRAY;
-        skipWs();
-        if (_pos < _text.size() && _text[_pos] == ']') {
-            ++_pos;
-            return true;
-        }
-        while (true) {
-            JsonValue elem;
-            if (!parseValue(&elem))
-                return false;
-            out->array.push_back(std::move(elem));
-            skipWs();
-            if (_pos >= _text.size())
-                return fail("unterminated array");
-            if (_text[_pos] == ',') {
-                ++_pos;
-                continue;
-            }
-            return consume(']');
-        }
-    }
-
-    bool
-    parseObject(JsonValue *out)
-    {
-        if (!consume('{'))
-            return false;
-        out->kind = JsonValue::Kind::OBJECT;
-        skipWs();
-        if (_pos < _text.size() && _text[_pos] == '}') {
-            ++_pos;
-            return true;
-        }
-        while (true) {
-            std::string key;
-            skipWs();
-            if (!parseString(&key) || !consume(':'))
-                return false;
-            JsonValue val;
-            if (!parseValue(&val))
-                return false;
-            out->object.emplace_back(std::move(key), std::move(val));
-            skipWs();
-            if (_pos >= _text.size())
-                return fail("unterminated object");
-            if (_text[_pos] == ',') {
-                ++_pos;
-                continue;
-            }
-            return consume('}');
-        }
-    }
-};
-
 /** Parse or ADD_FAILURE with the parser's diagnostic. */
 inline bool
-parseJsonOrFail(const std::string &text, JsonValue *out)
+parseJsonOrFail(const std::string &text, dsm::JsonValue *out)
 {
     std::string err;
-    bool ok = JsonParser::parse(text, out, &err);
+    bool ok = dsm::parseJson(text, out, &err);
     EXPECT_TRUE(ok) << "JSON parse error: " << err << "\ninput:\n"
                     << text.substr(0, 2000);
     return ok;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "helpers.hh"
-#include "json_parse.hh"
 #include "mem/home_queue.hh"
 #include "sync/lockfree_counter.hh"
 #include "workloads/openloop.hh"
