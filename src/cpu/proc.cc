@@ -8,18 +8,19 @@ namespace dsm {
 Proc::Proc(System &sys, NodeId id) : _sys(sys), _id(id) {}
 
 void
-Proc::issue(AtomicOp op, Addr a, Word v, Word exp, Controller::DoneFn done,
-            const Controller::SpinPred *spin)
+Proc::issue(AtomicOp op, Addr a, Word v, Word exp, Pending w)
 {
     ++_ops_issued;
-    bool is_sync = _sys.isSync(a) && op != AtomicOp::DROP_COPY;
+    w.op = op;
+    w.addr = a;
+    w.is_sync = _sys.isSync(a) && op != AtomicOp::DROP_COPY;
     // Contention (Figure 2) counts processors concurrently *attempting
     // an atomic access*; ordinary loads (e.g. test-and-test-and-set
     // spinning on a cached copy) are not attempts. Write-run tracking
     // counts every access: reads by other processors end a run.
-    bool is_attempt = is_sync && (isAtomic(op) || op == AtomicOp::LL ||
-                                  op == AtomicOp::LLS);
-    if (is_attempt)
+    w.is_attempt = w.is_sync && (isAtomic(op) || op == AtomicOp::LL ||
+                                 op == AtomicOp::LLS);
+    if (w.is_attempt)
         _sys.sharing().beginAttempt(a, _id);
 
     // If previous attempts on an acquire loop failed, tell the
@@ -27,41 +28,29 @@ Proc::issue(AtomicOp op, Addr a, Word v, Word exp, Controller::DoneFn done,
     if (_sys.txns().enabled() && _fail_streak > 0)
         _sys.txns().noteLoopIter(_id, _fail_streak);
 
-    NodeId id = _id;
-    Addr addr = a;
-    AtomicOp the_op = op;
-    System *sys = &_sys;
-    Proc *self = this;
-    _sys.ctrl(_id).cpuRequest(
-        op, a, v, exp,
-        [sys, id, addr, the_op, is_sync, is_attempt, self,
-         done = std::move(done)](OpResult r) {
-            if (is_attempt)
-                sys->sharing().endAttempt(addr, id);
-            if (is_sync) {
-                bool is_write = false;
-                switch (the_op) {
-                  case AtomicOp::STORE:
-                  case AtomicOp::TAS:
-                  case AtomicOp::FAA:
-                  case AtomicOp::FAS:
-                  case AtomicOp::FAO:
-                    is_write = true;
-                    break;
-                  case AtomicOp::CAS:
-                  case AtomicOp::SC:
-                  case AtomicOp::SCS:
-                    is_write = r.success;
-                    break;
-                  default:
-                    break;
-                }
-                sys->sharing().recordAccess(addr, id, is_write);
-            }
-            self->noteResult(the_op, r);
-            done(r);
-        },
-        spin);
+    _pending = w;
+    _sys.ctrl(_id).cpuRequest(op, a, v, exp,
+                              w.spin != nullptr ? &w.spin->pred : nullptr);
+}
+
+void
+Proc::complete(OpResult r)
+{
+    // The resumed code issues the next operation, which overwrites
+    // _pending: work from a copy.
+    const Pending p = _pending;
+    if (p.is_attempt)
+        _sys.sharing().endAttempt(p.addr, _id);
+    if (p.is_sync)
+        _sys.sharing().recordAccess(p.addr, _id,
+                                    effectiveWrite(p.op, r.success));
+    noteResult(p.op, r);
+    if (p.spin != nullptr && p.spin->pred(r.value)) {
+        p.spin->reread();
+        return;
+    }
+    *p.result = r;
+    p.handle.resume();
 }
 
 void
@@ -92,11 +81,7 @@ Proc::noteResult(AtomicOp op, const OpResult &r)
 void
 Proc::Op::await_suspend(std::coroutine_handle<> h)
 {
-    proc.issue(op, addr, value, expected,
-               [this, h](OpResult r) {
-                   result = r;
-                   h.resume();
-               });
+    proc.issue(op, addr, value, expected, Pending{h, &result});
 }
 
 void
@@ -109,16 +94,7 @@ Proc::SpinOp::await_suspend(std::coroutine_handle<> h)
 void
 Proc::SpinOp::reread()
 {
-    proc.issue(AtomicOp::LOAD, addr, 0, 0,
-               [this](OpResult r) {
-                   if (pred(r.value)) {
-                       reread();
-                   } else {
-                       result = r;
-                       handle.resume();
-                   }
-               },
-               &pred);
+    proc.issue(AtomicOp::LOAD, addr, 0, 0, Pending{handle, &result, this});
 }
 
 void

@@ -175,18 +175,41 @@ class Proc
     /** Count @p n loads the controller elided while parked. */
     void creditElidedLoads(std::uint64_t n) { _ops_issued += n; }
 
+    /**
+     * Complete the outstanding operation with @p r (the controller
+     * calls this at the completion tick): record its sharing pattern,
+     * then resume its waiter, or issue a spin loop's next re-read.
+     */
+    void complete(OpResult r);
+
   private:
     friend struct Op;
     friend struct SpinOp;
     friend struct Delay;
 
     /**
-     * Issue to the controller with sharing-pattern instrumentation.
-     * @param spin The spin predicate of a SpinOp re-read, else null.
+     * The outstanding operation: who waits for it, plus the facts the
+     * sharing tracker records at completion.
      */
-    void issue(AtomicOp op, Addr a, Word v, Word exp,
-               Controller::DoneFn done,
-               const Controller::SpinPred *spin = nullptr);
+    struct Pending
+    {
+        /** The awaiting coroutine and the slot its result goes to. */
+        std::coroutine_handle<> handle{};
+        OpResult *result = nullptr;
+        /** Non-null while a spin loop re-reads: it decides whether to
+         *  resume handle or re-read. */
+        SpinOp *spin = nullptr;
+        AtomicOp op = AtomicOp::LOAD;
+        Addr addr = 0;
+        bool is_sync = false;
+        bool is_attempt = false;
+    };
+
+    /**
+     * Issue to the controller with sharing-pattern instrumentation.
+     * @param w The waiter (handle, result, spin) of the operation.
+     */
+    void issue(AtomicOp op, Addr a, Word v, Word exp, Pending w);
 
     /** Track consecutive failed attempts (spin-loop iterations). */
     void noteResult(AtomicOp op, const OpResult &r);
@@ -194,6 +217,7 @@ class Proc
     System &_sys;
     NodeId _id;
     std::uint64_t _ops_issued = 0;
+    Pending _pending;
     /** Consecutive op completions that left the acquire loop spinning. */
     int _fail_streak = 0;
 };

@@ -92,22 +92,28 @@ SweepRunner::runInto(const std::vector<Point> &points,
 {
     results.clear();
     results.resize(points.size());
-    std::size_t n = points.size();
-    std::size_t workers =
-        std::min(static_cast<std::size_t>(_jobs), n);
+    std::mutex done_mutex;
+    forEachIndex(_jobs, points.size(), [&](std::size_t i) {
+        PointResult r = executePoint(points[i]);
+        std::lock_guard<std::mutex> lock(done_mutex);
+        results[i] = std::move(r);
+        if (on_done)
+            on_done(i);
+    });
+}
 
+void
+forEachIndex(int jobs, std::size_t n,
+             const std::function<void(std::size_t)> &fn)
+{
+    std::size_t workers = std::min(static_cast<std::size_t>(jobs), n);
     if (workers <= 1) {
         // Reference serial path: no threads, declaration order.
-        for (std::size_t i = 0; i < n; ++i) {
-            results[i] = executePoint(points[i]);
-            if (on_done)
-                on_done(i);
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
         return;
     }
-
     std::atomic<std::size_t> next{0};
-    std::mutex done_mutex;
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
@@ -117,11 +123,7 @@ SweepRunner::runInto(const std::vector<Point> &points,
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= n)
                     return;
-                PointResult r = executePoint(points[i]);
-                std::lock_guard<std::mutex> lock(done_mutex);
-                results[i] = std::move(r);
-                if (on_done)
-                    on_done(i);
+                fn(i);
             }
         });
     }

@@ -125,6 +125,15 @@ class SweepRunner
 };
 
 /**
+ * Call @p fn(i) once for every i in [0, n), on up to @p jobs host
+ * threads (inline on the caller, in order, when jobs <= 1). Calls for
+ * distinct indices may run concurrently, so @p fn must write only
+ * state owned by its index.
+ */
+void forEachIndex(int jobs, std::size_t n,
+                  const std::function<void(std::size_t)> &fn);
+
+/**
  * Extract a "--jobs N" / "--jobs=N" / "-j N" flag from a bench binary's
  * command line. @return the value, or 0 if no flag is present (meaning:
  * fall back to $DSM_JOBS). dsm_fatal on a missing value or one that is

@@ -270,7 +270,7 @@ class Explorer : public tf::StepCtx
     World initialWorld() const;
     std::vector<Transition> enabled(const World &w) const;
     void apply(World &w, const Transition &t);
-    void commit(World &w, NodeId self, tf::Outcome &&o);
+    void commit(World &w, NodeId self, const tf::Outcome &o);
     void procComplete(World &w, NodeId i, Word value, bool success);
 
     std::string canonical(const World &w) const;
@@ -456,7 +456,7 @@ Explorer::procComplete(World &w, NodeId i, Word value, bool success)
 }
 
 void
-Explorer::commit(World &w, NodeId self, tf::Outcome &&o)
+Explorer::commit(World &w, NodeId self, const tf::Outcome &o)
 {
     for (const tf::MemWrite &mw : o.mem_writes) {
         dsm_assert(blockBase(mw.addr) == MC_BLOCK,
@@ -573,8 +573,7 @@ Explorer::apply(World &w, const Transition &t)
         f = ChainFact{};
         f.op = req.op;
         f.requester = t.a;
-        tf::Outcome o = tf::issue(envFor(t.a), w.node[t.a], req);
-        commit(w, t.a, std::move(o));
+        commit(w, t.a, tf::issue(envFor(t.a), w.node[t.a], req));
         break;
       }
       case Transition::DELIVER: {
@@ -584,15 +583,14 @@ Explorer::apply(World &w, const Transition &t)
         // The canonical pure step: dedup (when armed) plus delivery.
         tf::StepResult r = tf::step(envFor(t.b), w.node[t.b], m);
         w.node[t.b] = std::move(r.next);
-        commit(w, t.b, std::move(r.out));
+        commit(w, t.b, r.out);
         break;
       }
       case Transition::RETRY: {
         w.retry_token[t.a] = false;
         dsm_assert(w.node[t.a].txn.active,
                    "mc: retry token without an active transaction");
-        tf::Outcome o = tf::dispatch(envFor(t.a), w.node[t.a]);
-        commit(w, t.a, std::move(o));
+        commit(w, t.a, tf::dispatch(envFor(t.a), w.node[t.a]));
         break;
       }
       case Transition::TIMEOUT: {
@@ -602,8 +600,7 @@ Explorer::apply(World &w, const Transition &t)
         const tf::TxnState &txn = w.node[t.a].txn;
         if (!txn.active || !txn.waiting || txn.resp_seen)
             break;
-        tf::Outcome o = tf::retransmit(envFor(t.a), w.node[t.a]);
-        commit(w, t.a, std::move(o));
+        commit(w, t.a, tf::retransmit(envFor(t.a), w.node[t.a]));
         break;
       }
       case Transition::DROP: {
@@ -630,7 +627,7 @@ Explorer::apply(World &w, const Transition &t)
         ++_result.reorders;
         tf::StepResult r = tf::step(envFor(t.b), w.node[t.b], m);
         w.node[t.b] = std::move(r.next);
-        commit(w, t.b, std::move(r.out));
+        commit(w, t.b, r.out);
         break;
       }
       case Transition::DUPLICATE: {
@@ -645,7 +642,7 @@ Explorer::apply(World &w, const Transition &t)
         ++_result.dups;
         tf::StepResult r = tf::step(envFor(t.b), w.node[t.b], dup);
         w.node[t.b] = std::move(r.next);
-        commit(w, t.b, std::move(r.out));
+        commit(w, t.b, r.out);
         break;
       }
       case Transition::COMBINE: {
@@ -675,7 +672,7 @@ Explorer::apply(World &w, const Transition &t)
             if (!home.dedup.empty() && m.seq != 0) {
                 tf::Outcome o;
                 bool handled = tf::tryDedup(envFor(_home), home, m, o);
-                commit(w, _home, std::move(o));
+                commit(w, _home, o);
                 if (handled)
                     continue;
             }

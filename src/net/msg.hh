@@ -54,6 +54,16 @@ isAtomic(AtomicOp op)
            op == AtomicOp::SC || op == AtomicOp::SCS;
 }
 
+/** True if @p op, with verdict @p success, wrote memory. */
+constexpr bool
+effectiveWrite(AtomicOp op, bool success)
+{
+    return isFetchAndPhi(op) || op == AtomicOp::STORE ||
+           ((op == AtomicOp::CAS || op == AtomicOp::SC ||
+             op == AtomicOp::SCS) &&
+            success);
+}
+
 const char *toString(AtomicOp op);
 
 /** Protocol message types. */

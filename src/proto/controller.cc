@@ -5,8 +5,8 @@
  * outcomes — memory/directory writes, stat deltas, and ordered effects
  * (sends, trace records via ProtoHooks, completions, retries, recovery
  * timers). Everything impure lives here: the event queue, the mesh, the
- * memory-module queue, RNG draws, fault injection, and the completion
- * callback.
+ * memory-module queue, RNG draws, fault injection, and handing each
+ * completed operation back to the node's Proc.
  */
 
 #include "proto/controller.hh"
@@ -112,7 +112,7 @@ Controller::hooks()
 // ===================== Outcome commit ====================================
 
 void
-Controller::commit(tf::Outcome o)
+Controller::commit(const tf::Outcome &o)
 {
     for (const tf::MemWrite &mw : o.mem_writes) {
         if (mw.is_block)
@@ -168,7 +168,7 @@ Controller::commit(tf::Outcome o)
 
 void
 Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
-                       DoneFn done, const SpinPred *spin)
+                       const SpinPred *spin)
 {
     dsm_assert(!_st.txn.active,
                "processor %d issued %s with a transaction outstanding",
@@ -199,10 +199,9 @@ Controller::cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
             tf::detail::emitTraceLine(evict, v.base, v.state,
                                       LineState::INVALID);
             tf::detail::evictVictim(env(), _st, evict, v);
-            commit(std::move(evict));
+            commit(evict);
         }
     }
-    _done = std::move(done);
     _trace_flow = 0;
     _parked_total = 0;
     Tracer &tr = _sys.tracer();
@@ -309,7 +308,6 @@ Controller::finishNow(Word value, bool success, Word serial)
         else
             ++st.sc_failures;
     }
-    DoneFn done = std::move(_done);
     _st.txn.active = false;
     Recovery *rc = _sys.recovery();
     if (rc != nullptr) {
@@ -317,7 +315,7 @@ Controller::finishNow(Word value, bool success, Word serial)
         // can no longer need recovery.
         rc->coverRequester(_id);
     }
-    done(OpResult{value, success, serial});
+    _sys.proc(_id).complete(OpResult{value, success, serial});
 }
 
 void
@@ -580,7 +578,7 @@ Controller::homeServiceSlot(Tick when)
         lead.msg.seq != 0) {
         tf::Outcome o;
         bool handled = tf::tryDedup(env(), _st, lead.msg, o);
-        commit(std::move(o));
+        commit(o);
         if (handled) {
             homePump();
             return;
@@ -627,7 +625,7 @@ Controller::homeServiceSlot(Tick when)
                 if (!_st.dedup.empty() && f.msg.seq != 0) {
                     tf::Outcome o;
                     bool handled = tf::tryDedup(env(), _st, f.msg, o);
-                    commit(std::move(o));
+                    commit(o);
                     if (handled)
                         continue;
                 }
@@ -667,7 +665,7 @@ Controller::homeService(const Msg &m)
     if (!_st.dedup.empty() && recoverableRequest(m.type) && m.seq != 0) {
         tf::Outcome o;
         bool handled = tf::tryDedup(env(), _st, m, o);
-        commit(std::move(o));
+        commit(o);
         if (handled)
             return;
     }

@@ -7,12 +7,13 @@
  * (CPU side, home directory side, remote side; see transition_*.cc for
  * the protocol itself). The driver owns everything a pure transition
  * cannot: the event queue, the mesh, the memory-module queue, RNG draws
- * (retry backoff jitter), fault injection, the completion callback, and
- * the Tracer/TxnTracer/LineProfiler/Recovery hook sinks bundled in a
- * ProtoHooks. A delivered message becomes a tf::deliver() call whose
- * Outcome is then committed: memory and directory writes applied, stat
- * deltas folded in, and effects walked in order (sends scheduled,
- * trace records emitted, completions/retries/timers armed).
+ * (retry backoff jitter), fault injection, handing completed operations
+ * back to the node's Proc, and the Tracer/TxnTracer/LineProfiler/
+ * Recovery hook sinks bundled in a ProtoHooks. A delivered message
+ * becomes a tf::deliver() call whose Outcome is then committed: memory
+ * and directory writes applied, stat deltas folded in, and effects
+ * walked in order (sends scheduled, trace records emitted,
+ * completions/retries/timers armed).
  *
  * The protocol is DASH-style: requests to a busy directory entry are
  * NACKed and retried; invalidation acknowledgements are collected by the
@@ -69,7 +70,6 @@ struct OpResult
 class Controller : private tf::StepCtx, private EventQueue::Spinner
 {
   public:
-    using DoneFn = std::function<void(OpResult)>;
     /** Spin predicate: true while the loop keeps re-reading. */
     using SpinPred = std::function<bool(Word)>;
 
@@ -80,14 +80,15 @@ class Controller : private tf::StepCtx, private EventQueue::Spinner
 
     /**
      * Issue a processor operation. Exactly one operation may be
-     * outstanding; the processor model enforces this by blocking.
-     * @param done Invoked once, at the operation's completion tick.
+     * outstanding; the processor model enforces this by blocking. At
+     * the operation's completion tick the controller hands the result
+     * to its node's Proc::complete().
      * @param spin For a LOAD re-read by a spin loop: the loop's
      *        predicate. When spin elision is on and the load hits a
      *        value it holds for, the processor parks on the line.
      */
     void cpuRequest(AtomicOp op, Addr addr, Word value, Word expected,
-                    DoneFn done, const SpinPred *spin = nullptr);
+                    const SpinPred *spin = nullptr);
 
     /** True while a processor operation is in flight. */
     bool cpuBusy() const { return _st.txn.active; }
@@ -154,10 +155,10 @@ class Controller : private tf::StepCtx, private EventQueue::Spinner
      * Commit one transition outcome: apply memory writes, directory
      * writes, and the stat delta, then walk the effects in order —
      * trace/profiler/txn records go through ProtoHooks; SEND, COMPLETE,
-     * RETRY, and ARM_TIMER are driver-owned (scheduling, RNG, the
-     * completion callback).
+     * RETRY, and ARM_TIMER are driver-owned (scheduling, RNG,
+     * completing the processor's operation).
      */
-    void commit(tf::Outcome o);
+    void commit(const tf::Outcome &o);
 
     /** Complete the active transaction now (COMPLETE effect body). */
     void finishNow(Word value, bool success, Word serial);
@@ -203,8 +204,6 @@ class Controller : private tf::StepCtx, private EventQueue::Spinner
     NodeId _id;
     tf::CtrlState _st;
 
-    /** Completion callback of the outstanding operation (driver-only). */
-    DoneFn _done;
     /** Tracer flow id of the outstanding operation (driver-only). */
     std::uint32_t _trace_flow = 0;
 

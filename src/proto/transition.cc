@@ -35,33 +35,13 @@ applyOp(AtomicOp op, Word old, Word operand)
     }
 }
 
-bool
-effectiveWrite(AtomicOp op, bool success)
-{
-    switch (op) {
-      case AtomicOp::STORE:
-      case AtomicOp::TAS:
-      case AtomicOp::FAA:
-      case AtomicOp::FAS:
-      case AtomicOp::FAO:
-        return true;
-      case AtomicOp::CAS:
-      case AtomicOp::SC:
-      case AtomicOp::SCS:
-        return success;
-      default:
-        return false;
-    }
-}
-
 void
 emitSend(Outcome &o, const Msg &m, Tick delay)
 {
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::SEND;
     ef.msg = m;
     ef.delay = delay;
-    o.effects.push_back(ef);
 }
 
 void
@@ -69,43 +49,39 @@ emitTraceLine(Outcome &o, Addr block, LineState from, LineState to)
 {
     if (from == to)
         return;
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::TRACE_LINE;
     ef.addr = block;
     ef.a = static_cast<std::uint8_t>(from);
     ef.b = static_cast<std::uint8_t>(to);
-    o.effects.push_back(ef);
 }
 
 void
 emitTraceResv(Outcome &o, Addr block, bool clear)
 {
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::TRACE_RESV;
     ef.addr = block;
     ef.a = clear ? 1 : 0;
-    o.effects.push_back(ef);
 }
 
 void
 emitTraceNack(Outcome &o, NodeId victim, Addr block, MsgType req_type)
 {
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::TRACE_NACK;
     ef.addr = block;
     ef.node = victim;
     ef.a = static_cast<std::uint8_t>(req_type);
-    o.effects.push_back(ef);
 }
 
 void
 emitLp(Outcome &o, EffectKind kind, Addr block, NodeId node)
 {
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = kind;
     ef.addr = block;
     ef.node = node;
-    o.effects.push_back(ef);
 }
 
 void
@@ -114,13 +90,12 @@ emitTxnMark(Outcome &o, std::uint64_t id, std::uint8_t phase,
 {
     if (id == 0)
         return;
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::TXN_MARK;
     ef.id = id;
     ef.a = phase;
     ef.delay = delay;
     ef.node = node;
-    o.effects.push_back(ef);
 }
 
 void
@@ -128,40 +103,36 @@ emitTxnService(Outcome &o, std::uint64_t id, const ServiceFacts &facts)
 {
     if (id == 0)
         return;
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::TXN_SERVICE;
     ef.id = id;
     ef.facts = facts;
-    o.effects.push_back(ef);
 }
 
 void
 emitComplete(Outcome &o, Tick delay, Word value, bool success,
              Word serial)
 {
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::COMPLETE;
     ef.delay = delay;
     ef.value = value;
     ef.flag = success;
     ef.serial = serial;
-    o.effects.push_back(ef);
 }
 
 void
 emitRetry(Outcome &o)
 {
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::RETRY;
-    o.effects.push_back(ef);
 }
 
 void
 emitArmTimer(Outcome &o)
 {
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::ARM_TIMER;
-    o.effects.push_back(ef);
 }
 
 void
@@ -171,12 +142,11 @@ setDirState(Outcome &o, DirEntry &e, Addr block, DirState to)
     e.state = to;
     if (from == to)
         return;
-    Effect ef;
+    Effect &ef = o.effects.emplace_back();
     ef.kind = EffectKind::TRACE_DIR;
     ef.addr = block;
     ef.a = static_cast<std::uint8_t>(from);
     ef.b = static_cast<std::uint8_t>(to);
-    o.effects.push_back(ef);
 }
 
 void

@@ -42,6 +42,7 @@
 #include "mem/directory.hh"
 #include "net/msg.hh"
 #include "sim/config.hh"
+#include "sim/inline_vec.hh"
 #include "sim/types.hh"
 
 namespace dsm {
@@ -50,7 +51,7 @@ namespace tf {
 /**
  * State of a node's single outstanding CPU-side transaction.
  * Everything the protocol needs to decide its next move lives here;
- * driver-only bookkeeping (the completion callback, the tracer flow
+ * driver-only bookkeeping (the waiting processor, the tracer flow
  * id) stays in the driver.
  */
 struct TxnState
@@ -271,13 +272,19 @@ struct MemWrite
  * Everything one transition wants done to the world, as data. The
  * driver commits mem_writes, then dir_writes, then the stat delta,
  * then walks effects in order.
+ *
+ * The lists live inline (see sim/inline_vec.hh): a transition emits a
+ * few effects and at most a couple of writes, so the per-message path
+ * allocates nothing, while a large UPD fan-out spills to the heap in
+ * order. Emitters construct each effect in place; consumers take an
+ * Outcome by reference, because moving one copies its inline items.
  */
 struct Outcome
 {
-    std::vector<MemWrite> mem_writes;
-    std::vector<DirWrite> dir_writes;
+    InlineVec<MemWrite, 2> mem_writes;
+    InlineVec<DirWrite, 2> dir_writes;
     StatDelta stats;
-    std::vector<Effect> effects;
+    InlineVec<Effect, 4> effects;
 };
 
 /** A processor operation to issue (driver-owned context pre-resolved). */

@@ -49,6 +49,17 @@ dirWrite(Outcome &o, Addr addr, const DirEntry &e)
     o.dir_writes.push_back(DirWrite{addr, e});
 }
 
+/** Write a whole block to home memory. */
+void
+memWriteBlock(Outcome &o, Addr block,
+              const std::array<Word, BLOCK_WORDS> &data)
+{
+    MemWrite &mw = o.mem_writes.emplace_back();
+    mw.is_block = true;
+    mw.addr = block;
+    mw.block = data;
+}
+
 void
 sendInvalidations(const Env &env, CtrlState &s, Outcome &o,
                   std::uint64_t targets, const Msg &req)
@@ -373,10 +384,9 @@ memoryOp(const Env &env, DirEntry &e, Outcome &o, const Msg &m)
     bool wrote = false;
 
     auto writeWord = [&](Word v) {
-        MemWrite mw;
+        MemWrite &mw = o.mem_writes.emplace_back();
         mw.addr = m.word_addr;
         mw.word = v;
-        o.mem_writes.push_back(mw);
     };
 
     switch (m.op) {
@@ -548,11 +558,7 @@ homeWbData(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
                "write-back of %#llx from non-owner %d (state %s)",
                static_cast<unsigned long long>(m.addr), m.src,
                toString(e.state));
-    MemWrite mw;
-    mw.is_block = true;
-    mw.addr = m.addr;
-    mw.block = m.data;
-    o.mem_writes.push_back(mw);
+    memWriteBlock(o, m.addr, m.data);
     if (!e.busy) {
         setDirState(o, e, m.addr, DirState::UNCACHED);
         e.owner = INVALID_NODE;
@@ -628,11 +634,7 @@ homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
 
     switch (m.type) {
       case MsgType::OWNER_DATA_S: {
-        MemWrite mw;
-        mw.is_block = true;
-        mw.addr = m.addr;
-        mw.block = m.data;
-        o.mem_writes.push_back(mw);
+        memWriteBlock(o, m.addr, m.data);
         setDirState(o, e, m.addr, DirState::SHARED);
         e.sharers = bit(m.src) | bit(req);
         e.owner = INVALID_NODE;
@@ -673,11 +675,7 @@ homeOwnerReply(const Env &env, CtrlState &s, Outcome &o, const Msg &m)
       }
       case MsgType::CAS_OWNER_FAIL_S: {
         // INVs: the owner downgraded; both nodes share the line.
-        MemWrite mw;
-        mw.is_block = true;
-        mw.addr = m.addr;
-        mw.block = m.data;
-        o.mem_writes.push_back(mw);
+        memWriteBlock(o, m.addr, m.data);
         setDirState(o, e, m.addr, DirState::SHARED);
         e.sharers = bit(m.src) | bit(req);
         e.owner = INVALID_NODE;

@@ -23,8 +23,6 @@ chainNext(int parent, NodeId src, NodeId dst)
 
 /** New value of a fetch_and_Phi/store on @p old with @p operand. */
 Word applyOp(AtomicOp op, Word old, Word operand);
-/** True if @p op (with verdict @p success) wrote memory. */
-bool effectiveWrite(AtomicOp op, bool success);
 
 /** @name Effect emitters (append to o.effects in call order). @{ */
 void emitSend(Outcome &o, const Msg &m, Tick delay = 0);

@@ -8,8 +8,8 @@ EventQueue::~EventQueue()
 {
     // Destroy the callbacks of events that never fired; the pool chunks
     // themselves are released by the unique_ptrs.
-    for (Event *e : _heap)
-        e->destroy(e);
+    for (Entry &en : _heap)
+        en.ev->destroy(en.ev);
 }
 
 EventQueue::Event *
@@ -37,9 +37,9 @@ EventQueue::release(Event *e)
 void
 EventQueue::siftUp(std::size_t i)
 {
-    Event *e = _heap[i];
+    Entry e = _heap[i];
     while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
+        std::size_t parent = (i - 1) / ARITY;
         if (!later(_heap[parent], e))
             break;
         _heap[i] = _heap[parent];
@@ -51,14 +51,17 @@ EventQueue::siftUp(std::size_t i)
 void
 EventQueue::siftDown(std::size_t i)
 {
-    Event *e = _heap[i];
+    Entry e = _heap[i];
     std::size_t n = _heap.size();
     for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n)
+        std::size_t first = ARITY * i + 1;
+        if (first >= n)
             break;
-        if (child + 1 < n && later(_heap[child], _heap[child + 1]))
-            ++child;
+        std::size_t last = std::min(first + ARITY, n);
+        std::size_t child = first;
+        for (std::size_t c = first + 1; c < last; ++c)
+            if (later(_heap[child], _heap[c]))
+                child = c;
         if (!later(e, _heap[child]))
             break;
         _heap[i] = _heap[child];
@@ -77,17 +80,16 @@ constexpr Tick NEVER = ~Tick(0);
 void
 EventQueue::runTop()
 {
-    Event *e = _heap.front();
-    Event *last = _heap.back();
+    Entry top = _heap.front();
+    Event *e = top.ev;
+    _heap.front() = _heap.back();
     _heap.pop_back();
-    if (!_heap.empty()) {
-        _heap.front() = last;
+    if (!_heap.empty())
         siftDown(0);
-    }
-    dsm_assert(e->when >= _now, "event queue time went backwards");
+    dsm_assert(top.when >= _now, "event queue time went backwards");
     if (_sample_period != 0)
-        sampleUpTo(e->when);
-    _now = e->when;
+        sampleUpTo(top.when);
+    _now = top.when;
     ++_executed;
     // The callback may schedule new events (allocating from the pool);
     // this event is released only after it finishes running.
@@ -123,7 +125,7 @@ EventQueue::advance(std::uint64_t limit, Tick bound)
             if (n == limit)
                 break;
         }
-        if (_heap.empty() || _heap.front()->when > bound)
+        if (_heap.empty() || _heap.front().when > bound)
             break;
         runTop();
         ++n;
@@ -240,8 +242,8 @@ EventQueue::realTop(Tick &t, std::uint64_t &key) const
         t = NEVER;
         key = 0;
     } else {
-        t = _heap.front()->when;
-        key = _heap.front()->seq;
+        t = _heap.front().when;
+        key = _heap.front().seq;
     }
 }
 

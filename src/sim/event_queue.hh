@@ -6,11 +6,15 @@
  * (a monotonically increasing sequence number breaks ties), which makes
  * every simulation run bit-for-bit reproducible.
  *
- * The pending set is a binary heap of pooled intrusive events: each
- * event embeds a small type-erased callback buffer, so the hot
- * schedule/fire path performs no per-event heap allocation once the
- * pool is warm (callbacks larger than the inline buffer fall back to
- * one heap allocation). Fired events return to a free list for reuse.
+ * The pending set is a 4-ary min-heap of (when, seq, event) entries
+ * over pooled events: the order key sits in the entry, so a sift
+ * compares keys without touching an event, and each event embeds a
+ * small type-erased callback buffer, so the hot schedule/fire path
+ * performs no per-event heap allocation once the pool is warm
+ * (callbacks larger than the inline buffer fall back to one heap
+ * allocation). Fired events return to a free list for reuse. The
+ * (when, seq) key is unique, so the pop order does not depend on the
+ * heap's arity.
  *
  * Spin elision: a processor re-reading an unchanged cached word can
  * park as a *ghost chain* — the periodic completion events it would
@@ -238,8 +242,6 @@ class EventQueue
 
     struct Event
     {
-        Tick when;
-        std::uint64_t seq;
         /** Run then destroy the stored callback. */
         void (*invoke)(Event *);
         /** Destroy the stored callback without running it. */
@@ -283,13 +285,24 @@ class EventQueue
         }
     }
 
-    /** True if event @p a fires after event @p b. */
-    static bool
-    later(const Event *a, const Event *b)
+    /** A pending event with its order key, as the heap holds it. */
+    struct Entry
     {
-        if (a->when != b->when)
-            return a->when > b->when;
-        return a->seq > b->seq;
+        Tick when;
+        std::uint64_t seq;
+        Event *ev;
+    };
+
+    /** Children per heap node. */
+    static constexpr std::size_t ARITY = 4;
+
+    /** True if entry @p a fires after entry @p b. */
+    static bool
+    later(const Entry &a, const Entry &b)
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
     }
 
     template <typename F>
@@ -297,10 +310,8 @@ class EventQueue
     push(Tick when, std::uint64_t key, F &&f)
     {
         Event *e = allocate();
-        e->when = when;
-        e->seq = key;
         bindCallback(e, std::forward<F>(f));
-        _heap.push_back(e);
+        _heap.push_back(Entry{when, key, e});
         siftUp(_heap.size() - 1);
     }
 
@@ -373,8 +384,8 @@ class EventQueue
     void sortCohorts();
     /** @} */
 
-    /** Min-heap of pending events ordered by (when, seq). */
-    std::vector<Event *> _heap;
+    /** 4-ary min-heap of pending events ordered by (when, seq). */
+    std::vector<Entry> _heap;
     /** Pool chunks; event addresses are stable for their lifetime. */
     std::vector<std::unique_ptr<Event[]>> _chunks;
     /** Recycled events ready for reuse. */

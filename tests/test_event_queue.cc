@@ -342,3 +342,187 @@ TEST(EventQueueGhosts, ParkedChainsKeepTheUnelidedOrder)
         }
     }
 }
+
+namespace {
+
+/**
+ * A randomized mix for the keyed 4-ary heap: near events (under 8
+ * ticks ahead), far ones (thousands ahead), same-tick bursts of 5-44
+ * events (deeper than one heap level), events scheduling events, and
+ * spinners that park and are woken. Every event scheduled through
+ * sched() logs the (when, seq) key it was scheduled with when it runs;
+ * seq counts schedule() calls, which is how the queue numbers them.
+ * With ghosts off a spinner re-reads through real events (the
+ * reference); with ghosts on it parks.
+ */
+class MixWorld
+{
+  public:
+    struct Key
+    {
+        Tick when;
+        std::uint64_t seq;
+        bool operator==(const Key &) const = default;
+    };
+
+    struct Spin : EventQueue::Spinner
+    {
+        bool parked = false;
+        bool woken = false;
+        std::uint64_t iterations = 0;
+        void creditElided(std::uint64_t n) override { iterations += n; }
+    };
+
+    MixWorld(bool ghosts, std::uint64_t seed)
+        : spins(4), _ghosts(ghosts), _rng(seed)
+    {
+        for (int i = 0; i < 200; ++i)
+            spawn();
+        for (int i = 0; i < 4; ++i)
+            sched(_rng.below(64), [this, i] { startSpin(i); });
+    }
+
+    EventQueue eq;
+    std::vector<Spin> spins;
+    /** Keys handed out, and keys of the events run, in run order. */
+    std::vector<Key> scheduled;
+    std::vector<Key> ran;
+    /** (tick, id) of every real event and woken spin completion. */
+    std::vector<std::pair<Tick, int>> log;
+
+  private:
+    static constexpr Tick PERIOD = 3;
+
+    template <typename F>
+    void
+    sched(Tick when, F f)
+    {
+        Key k{when, _seq++};
+        scheduled.push_back(k);
+        eq.schedule(when, [this, k, f] {
+            ran.push_back(k);
+            f();
+        });
+    }
+
+    /** Schedule one near or far real event, or a same-tick burst. */
+    void
+    spawn()
+    {
+        std::uint64_t kind = _rng.below(20);
+        if (kind < 12) {
+            int id = _ids++;
+            sched(eq.now() + _rng.below(8), [this, id] { real(id); });
+        } else if (kind < 15) {
+            int id = _ids++;
+            sched(eq.now() + 1000 + _rng.below(50000),
+                  [this, id] { real(id); });
+        } else {
+            Tick at = eq.now() + _rng.below(16);
+            for (std::uint64_t n = 5 + _rng.below(40); n > 0; --n) {
+                int id = _ids++;
+                sched(at, [this, id] { real(id); });
+            }
+        }
+    }
+
+    void
+    real(int id)
+    {
+        log.emplace_back(eq.now(), id);
+        if (++_reals > 3000)
+            return;
+        for (std::uint64_t k = _rng.below(3); k > 0; --k)
+            spawn();
+        if (_rng.below(4) == 0) {
+            Spin &s = spins[_rng.below(spins.size())];
+            if (s.parked && !s.woken) {
+                s.woken = true;
+                if (_ghosts) {
+                    int i = static_cast<int>(&s - spins.data());
+                    eq.wake(&s, [this, i] { complete(i); });
+                }
+            }
+        }
+    }
+
+    void
+    startSpin(int i)
+    {
+        log.emplace_back(eq.now(), -1 - i);
+        spins[i].parked = true;
+        reread(i);
+    }
+
+    void
+    reread(int i)
+    {
+        if (_ghosts)
+            eq.park(&spins[i], PERIOD);
+        else
+            sched(eq.now() + PERIOD, [this, i] { complete(i); });
+    }
+
+    void
+    complete(int i)
+    {
+        Spin &s = spins[i];
+        if (!s.woken) {
+            // Reference only: an unwoken re-read loops.
+            ++s.iterations;
+            reread(i);
+            return;
+        }
+        s.parked = false;
+        s.woken = false;
+        log.emplace_back(eq.now(), -100 - i);
+        if (_rng.below(2) == 0)
+            sched(eq.now() + _rng.below(9), [this, i] { startSpin(i); });
+    }
+
+    bool _ghosts;
+    Rng _rng;
+    std::uint64_t _seq = 0;
+    int _ids = 0;
+    int _reals = 0;
+};
+
+} // namespace
+
+// Pop order must equal a reference sort of the scheduled (when, seq)
+// keys, whatever the heap's arity, and parking a spinner must not move
+// any real event: the ghost run logs exactly what the unelided one does.
+TEST(EventQueueHeap, RandomMixRunsInWhenSeqOrder)
+{
+    const Tick deadline = 20000;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        MixWorld ref(false, seed);
+        MixWorld ghost(true, seed);
+        ref.eq.runUntil(deadline);
+        ghost.eq.runUntil(deadline);
+        ghost.eq.flushElided();
+
+        auto by_key = [](const MixWorld::Key &a, const MixWorld::Key &b) {
+            return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        };
+        for (const MixWorld *w : {&ref, &ghost}) {
+            std::vector<MixWorld::Key> want;
+            for (const MixWorld::Key &k : w->scheduled)
+                if (k.when <= deadline)
+                    want.push_back(k);
+            std::sort(want.begin(), want.end(), by_key);
+            ASSERT_EQ(w->ran, want);
+        }
+        // Bursts deeper than one heap level and far events both ran.
+        EXPECT_GT(ref.ran.size(), 2000u);
+        EXPECT_LT(ref.ran.size(), ref.scheduled.size());
+
+        ASSERT_EQ(ghost.log, ref.log);
+        EXPECT_EQ(ghost.eq.now(), ref.eq.now());
+        EXPECT_EQ(ghost.eq.eventsExecuted(), ref.eq.eventsExecuted());
+        EXPECT_GT(ghost.eq.eventsElided(), 0u);
+        for (std::size_t i = 0; i < ref.spins.size(); ++i)
+            EXPECT_EQ(ghost.spins[i].iterations, ref.spins[i].iterations);
+    }
+}
